@@ -10,8 +10,10 @@
 #                3 on other error-severity findings)
 #   make bench   quick benchmark smoke run (tables + short timings)
 #   make bench-json
-#                regenerate BENCH_PR3.json (quick mode, speedups vs the
-#                committed baseline) and validate it against the schema
+#                render a quick-mode bench document (speedups vs the
+#                committed baseline) to _build/BENCH_quick.json and validate
+#                it against the schema; the committed BENCH_PR3*.json are
+#                the historical anchor and stay unchanged
 
 .PHONY: ci build test fmt lint bench bench-json
 
@@ -41,6 +43,7 @@ bench:
 	dune exec bench/main.exe -- --quick
 
 bench-json:
+	mkdir -p _build
 	dune exec bench/main.exe -- --quick --json \
-	  --baseline BENCH_PR3_BASELINE.json > BENCH_PR3.json
-	dune exec bench/main.exe -- --validate BENCH_PR3.json
+	  --baseline BENCH_PR3_BASELINE.json > _build/BENCH_quick.json
+	dune exec bench/main.exe -- --validate _build/BENCH_quick.json

@@ -97,14 +97,16 @@ let json_of_report (r : Engine.report) =
        (List.map (fun l -> Engine.Trace.json_string l) r.Engine.labels))
     (Equiv.cert_to_json r.Engine.cert)
 
-let print_json ~options ~verified ?lint reports trace =
-  Printf.printf
-    {|{"width":%d,"ring":%b,"verified":%b,"reports":[%s],"lint":%s,"trace":%s}|}
+let json_object ?name ~options ~verified ?lint reports trace =
+  Printf.sprintf
+    {|{%s"width":%d,"ring":%b,"verified":%b,"reports":[%s],"lint":%s,"trace":%s}|}
+    (match name with
+     | Some n -> Printf.sprintf {|"name":%s,|} (Engine.Trace.json_string n)
+     | None -> "")
     options.width options.use_ring verified
     (String.concat "," (List.map json_of_report reports))
     (match lint with Some l -> Suite.to_json l | None -> "null")
-    (Engine.Trace.to_json trace);
-  print_newline ()
+    (Engine.Trace.to_json trace)
 
 (* ---- static analysis --------------------------------------------------- *)
 
@@ -168,9 +170,57 @@ let evaluate_program options text =
 
 (* ---- benchmark mode ---------------------------------------------------- *)
 
+(* One benchmark's text line, followed by any non-Verified certificate,
+   the simplify summary, error-severity lint findings and, under
+   [--trace], the engine trace. *)
+let print_benchmark options (b : Benchmarks.t) (r : Engine.report) ?lint trace =
+  let errors, warnings =
+    match lint with
+    | None -> (0, 0)
+    | Some l ->
+      List.fold_left
+        (fun (e, w) (d : Diag.t) ->
+          match d.Diag.severity with
+          | Diag.Error -> (e + 1, w)
+          | Diag.Warning -> (e, w + 1)
+          | Diag.Info -> (e, w))
+        (0, 0) (Suite.diags l)
+  in
+  Printf.printf
+    "%-10s width=%-3d MULT=%-3d ADD=%-3d area=%-6d %-9s %d error(s), \
+     %d warning(s)\n"
+    b.Benchmarks.name b.Benchmarks.width r.Engine.counts.Dag.mults
+    r.Engine.counts.Dag.adds r.Engine.cost.Cost.area
+    (Equiv.cert_label r.Engine.cert)
+    errors warnings;
+  (match r.Engine.cert with
+   | Equiv.Verified -> ()
+   | c -> Printf.printf "  %s\n" (Equiv.cert_to_string c));
+  (match r.Engine.simplified with
+   | Some o ->
+     Printf.printf
+       "  simplify: %d -> %d cell(s), %d rewrite(s) applied, %d \
+        rejected\n"
+       o.Simplify.stats.Simplify.cells_before
+       o.Simplify.stats.Simplify.cells_after
+       o.Simplify.stats.Simplify.applied
+       o.Simplify.stats.Simplify.rejected
+   | None -> ());
+  (match lint with
+   | Some l when Diag.has_errors (Suite.diags l) ->
+     List.iter
+       (fun d ->
+         if d.Diag.severity = Diag.Error then
+           Printf.printf "  %s\n" (Diag.to_string d))
+       (Suite.diags l)
+   | _ -> ());
+  if options.show_trace then print_string (Engine.Trace.to_text trace)
+
 (* Run the built-in Table 14.3 systems, each at its published width, and
    certify/lint every result.  This is the CI "lint" target: the exit code
-   is the worst per-benchmark {!exit_code}. *)
+   is the worst per-benchmark {!exit_code}.  [--json] prints one object
+   [{"benchmarks":[...]}] instead of the text lines; each element is the
+   object the single-system mode prints, plus the system's ["name"]. *)
 let run_benchmarks options name =
   let benches =
     match name with
@@ -193,61 +243,35 @@ let run_benchmarks options name =
     1
   | Ok benches ->
     let worst = ref 0 in
-    List.iter
-      (fun (b : Benchmarks.t) ->
-        let options = { options with width = b.Benchmarks.width } in
-        let config = config_of options in
-        let r, _trace = Engine.run config options.method_name b.Benchmarks.polys in
-        let lint =
-          if options.lint then
+    let objects =
+      List.filter_map
+        (fun (b : Benchmarks.t) ->
+          let options = { options with width = b.Benchmarks.width } in
+          let config = config_of options in
+          let r, trace =
+            Engine.run config options.method_name b.Benchmarks.polys
+          in
+          let lint =
+            if options.lint then
+              Some
+                (lint_of options ~ctx:config.Engine.Config.ctx
+                   ~system:b.Benchmarks.polys r.Engine.prog)
+            else None
+          in
+          worst :=
+            Stdlib.max !worst (exit_code ~cert:(Some r.Engine.cert) ~lint);
+          if options.json then
             Some
-              (lint_of options ~ctx:config.Engine.Config.ctx
-                 ~system:b.Benchmarks.polys r.Engine.prog)
-          else None
-        in
-        let code = exit_code ~cert:(Some r.Engine.cert) ~lint in
-        worst := Stdlib.max !worst code;
-        let errors, warnings =
-          match lint with
-          | None -> (0, 0)
-          | Some l ->
-            List.fold_left
-              (fun (e, w) (d : Diag.t) ->
-                match d.Diag.severity with
-                | Diag.Error -> (e + 1, w)
-                | Diag.Warning -> (e, w + 1)
-                | Diag.Info -> (e, w))
-              (0, 0) (Suite.diags l)
-        in
-        Printf.printf
-          "%-10s width=%-3d MULT=%-3d ADD=%-3d area=%-6d %-9s %d error(s), \
-           %d warning(s)\n"
-          b.Benchmarks.name b.Benchmarks.width r.Engine.counts.Dag.mults
-          r.Engine.counts.Dag.adds r.Engine.cost.Cost.area
-          (Equiv.cert_label r.Engine.cert)
-          errors warnings;
-        (match r.Engine.cert with
-         | Equiv.Verified -> ()
-         | c -> Printf.printf "  %s\n" (Equiv.cert_to_string c));
-        (match r.Engine.simplified with
-         | Some o ->
-           Printf.printf
-             "  simplify: %d -> %d cell(s), %d rewrite(s) applied, %d \
-              rejected\n"
-             o.Simplify.stats.Simplify.cells_before
-             o.Simplify.stats.Simplify.cells_after
-             o.Simplify.stats.Simplify.applied
-             o.Simplify.stats.Simplify.rejected
-         | None -> ());
-        match lint with
-        | Some l when Diag.has_errors (Suite.diags l) ->
-          List.iter
-            (fun d ->
-              if d.Diag.severity = Diag.Error then
-                Printf.printf "  %s\n" (Diag.to_string d))
-            (Suite.diags l)
-        | _ -> ())
-      benches;
+              (json_object ~name:b.Benchmarks.name ~options
+                 ~verified:(is_verified r.Engine.cert) ?lint [ r ] trace)
+          else begin
+            print_benchmark options b r ?lint trace;
+            None
+          end)
+        benches
+    in
+    if options.json then
+      Printf.printf "{\"benchmarks\":[%s]}\n" (String.concat "," objects);
     !worst
 
 (* ---- synthesis mode ---------------------------------------------------- *)
@@ -296,7 +320,8 @@ let run_synthesis options =
            | [] -> ""
            | labels -> "  [" ^ String.concat "," labels ^ "]")
       in
-      if options.json then print_json ~options ~verified ?lint reports trace
+      if options.json then
+        print_endline (json_object ~options ~verified ?lint reports trace)
       else begin
         List.iter print_report reports;
         Printf.printf "verified: %b%s\n" verified

@@ -6,27 +6,35 @@ module Dag = Polysynth_expr.Dag
 module Kernel = Polysynth_cse.Kernel
 module Squarefree = Polysynth_factor.Squarefree
 
-module PolyMap = Map.Make (Poly)
+module PolyTbl = Hashtbl.Make (Poly)
 
+(* The memo is keyed by the polynomial alone and lives for one session.
+   Adding the recursion depth to the key, or sharing the memo across
+   sessions, would change which decomposition wins. *)
 type session = {
   table : Blocktab.t;
   divs : Poly.t list;
-  mutable memo : Expr.t PolyMap.t;
+  memo : Expr.t PolyTbl.t;
 }
 
-let make_session table ~divisors = { table; divs = divisors; memo = PolyMap.empty }
+let make_session table ~divisors =
+  { table; divs = divisors; memo = PolyTbl.create 64 }
 
 let divisors s = s.divs
 
 let cost e = Dag.total_ops (Dag.tree_counts e)
 
+(* the first candidate of least cost, each candidate costed once *)
 let cheapest candidates =
   match candidates with
   | [] -> invalid_arg "Algdiv.cheapest: no candidates"
   | first :: rest ->
-    List.fold_left
-      (fun best cand -> if cost cand < cost best then cand else best)
-      first rest
+    fst
+      (List.fold_left
+         (fun (best, best_cost) cand ->
+           let c = cost cand in
+           if c < best_cost then (cand, c) else (best, best_cost))
+         (first, cost first) rest)
 
 (* expression for a possibly non-normalized linear root: strip the content
    onto a constant factor and reference the divisor block *)
@@ -52,44 +60,53 @@ let root_expr s root =
    factorization. *)
 let max_depth = 4
 
-(* cheap necessary condition for p = root^k: the leading coefficient must
+(* cheap necessary conditions for p = root^k with k >= 2: under the
+   graded-lex order lm(root^k) = lm(root)^k, so the exponents of the
+   leading monomial share a factor k, and the leading coefficient must
    itself be a perfect power *)
 let could_be_perfect_power p =
   (not (Poly.is_const p))
   && Poly.degree p >= 2
   && Poly.num_terms p <= 12
   &&
-  let lc = Z.abs (fst (Poly.leading p)) in
+  let lc, lm = Poly.leading p in
+  let rec igcd a b = if b = 0 then a else igcd b (a mod b) in
+  Monomial.fold (fun g _ e -> igcd g e) 0 lm >= 2
+  &&
+  let lc = Z.abs lc in
   Z.is_one lc
   || List.exists
        (fun k -> Squarefree.integer_root lc k <> None)
        [ 2; 3; 5; 7 ]
 
 let rec decompose ?(depth = 0) s p =
-  match PolyMap.find_opt p s.memo with
+  match PolyTbl.find_opt s.memo p with
   | Some e -> e
   | None ->
     (* break potential cycles defensively: memoize the direct form first,
        then overwrite with the winner *)
-    s.memo <- PolyMap.add p (Expr.of_poly p) s.memo;
+    PolyTbl.replace s.memo p (Expr.of_poly p);
     let result = choose depth s p in
-    s.memo <- PolyMap.add p result s.memo;
+    PolyTbl.replace s.memo p result;
     result
 
 and choose depth s p =
   if Poly.is_zero p || Poly.is_const p then Expr.of_poly p
   else begin
     let deeper = decompose ~depth:(depth + 1) s in
+    let reducible_by d =
+      let cd, md = Poly.leading d in
+      List.exists
+        (fun (c, m) -> Monomial.divides md m && Z.divides cd c)
+        (Poly.terms p)
+    in
     let direct = Expr.of_poly p in
     let content_candidate =
-      let pp = Poly.primitive_part p in
-      match Poly.div_exact p pp with
-      | Some c ->
-        (match Poly.to_const_opt c with
-         | Some c when not (Z.is_one (Z.abs c)) && Poly.num_terms p >= 2 ->
-           [ Expr.mul [ Expr.const c; deeper pp ] ]
-         | Some _ | None -> [])
-      | None -> []
+      (* p = c * primitive_part p, c carrying the leading coefficient's sign *)
+      let c = Poly.content p in
+      let c = if Z.is_negative (fst (Poly.leading p)) then Z.neg c else c in
+      if Z.is_one (Z.abs c) || Poly.num_terms p < 2 then []
+      else [ Expr.mul [ Expr.const c; deeper (Poly.div_scalar_exact p c) ] ]
     in
     let power_candidate =
       if not (could_be_perfect_power p) then []
@@ -105,12 +122,16 @@ and choose depth s p =
         let division_candidates =
           List.filter_map
             (fun d ->
-              let q, r = Poly.div_rem p d in
-              if Poly.is_zero q then None
+              (* no term of p reducible by lt(d): div_rem would return q = 0 *)
+              if not (reducible_by d) then None
               else begin
-                let dv = Blocktab.divisor_var s.table d in
-                Some
-                  (Expr.add [ Expr.mul [ Expr.var dv; deeper q ]; deeper r ])
+                let q, r = Poly.div_rem p d in
+                if Poly.is_zero q then None
+                else begin
+                  let dv = Blocktab.divisor_var s.table d in
+                  Some
+                    (Expr.add [ Expr.mul [ Expr.var dv; deeper q ]; deeper r ])
+                end
               end)
             s.divs
         in

@@ -85,7 +85,7 @@ let is_trivial { unit_part; factors } =
   Z.is_one unit_part && match factors with [ (_, 1) ] -> true | _ -> false
 
 let integer_root_abs n k =
-  (* binary search for r with r^k = n *)
+  (* binary search for r with r^k = n; r < 2^(bits/k) <= 2^ceil(bits/k) *)
   let rec search lo hi =
     if Z.compare lo hi > 0 then None
     else
@@ -96,7 +96,7 @@ let integer_root_abs n k =
       else if c < 0 then search (Z.add mid Z.one) hi
       else search lo (Z.sub mid Z.one)
   in
-  search Z.zero n
+  search Z.zero (Z.pow2 ((Z.num_bits n + k - 1) / k))
 
 let integer_root n k =
   if k < 1 then invalid_arg "Squarefree.integer_root: k < 1";

@@ -17,35 +17,41 @@ let normalize sign mag =
   else if hi = n - 1 then { sign; mag }
   else { sign; mag = Array.sub mag 0 (hi + 1) }
 
-let of_int n =
+(* Word-size fast path.  A value whose magnitude has at most two limbs
+   (below 2^60) is read as a native int; results computed natively are
+   packed back into the same normalized limb array the limb code would
+   build, so [compare], [equal] and [hash] cannot tell the paths apart. *)
+
+let is_small z = Array.length z.mag <= 2
+
+let to_small z =
+  match z.mag with
+  | [||] -> 0
+  | [| d0 |] -> z.sign * d0
+  | m -> z.sign * (m.(0) lor (m.(1) lsl base_bits))
+
+(* [n] must not be [min_int]: its magnitude has no positive native form.
+   Any other native value packs into at most three limbs. *)
+let of_small n =
   if n = 0 then zero
   else begin
     let sign = if n < 0 then -1 else 1 in
-    (* min_int negation overflows; peel limbs with arithmetic that stays
-       within the native range. *)
-    let rec limbs acc n =
-      if n = 0 then List.rev acc
-      else limbs ((n land base_mask) :: acc) (n lsr base_bits)
+    let m = Stdlib.abs n in
+    let mag =
+      if m < base then [| m |]
+      else if m lsr (2 * base_bits) = 0 then
+        [| m land base_mask; m lsr base_bits |]
+      else
+        [| m land base_mask; (m lsr base_bits) land base_mask;
+           m lsr (2 * base_bits) |]
     in
-    let m = if n < 0 then -(n + 1) else n in
-    (* magnitude of n is m+1 when negative: handle via int64-free trick *)
-    if n < 0 then begin
-      let digs = limbs [] m in
-      let arr = Array.of_list digs in
-      let arr = if Array.length arr = 0 then [| 0 |] else arr in
-      (* add 1 back to the magnitude *)
-      let len = Array.length arr in
-      let out = Array.make (len + 1) 0 in
-      Array.blit arr 0 out 0 len;
-      let rec carry i =
-        if out.(i) = base_mask then begin out.(i) <- 0; carry (i + 1) end
-        else out.(i) <- out.(i) + 1
-      in
-      carry 0;
-      normalize sign out
-    end
-    else normalize sign (Array.of_list (limbs [] m))
+    { sign; mag }
   end
+
+let of_int n =
+  if n = Stdlib.min_int then
+    { sign = -1; mag = [| 0; 0; 1 lsl (Sys.int_size - 1 - (2 * base_bits)) |] }
+  else of_small n
 
 let one = of_int 1
 let two = of_int 2
@@ -117,6 +123,8 @@ let sub_mag a b =
 let add a b =
   if a.sign = 0 then b
   else if b.sign = 0 then a
+  (* two 2-limb magnitudes sum below 2^61: [of_small] may need a third limb *)
+  else if is_small a && is_small b then of_small (to_small a + to_small b)
   else if a.sign = b.sign then normalize a.sign (add_mag a.mag b.mag)
   else
     let c = compare_mag a.mag b.mag in
@@ -150,6 +158,8 @@ let mul_mag a b =
 
 let mul a b =
   if a.sign = 0 || b.sign = 0 then zero
+  else if Array.length a.mag = 1 && Array.length b.mag = 1 then
+    of_small (to_small a * to_small b)
   else normalize (a.sign * b.sign) (mul_mag a.mag b.mag)
 
 let mul_int a n = mul a (of_int n)
@@ -191,6 +201,11 @@ let divmod_mag a b =
 let divmod a b =
   if b.sign = 0 then raise Division_by_zero;
   if a.sign = 0 then (zero, zero)
+  else if is_small a && is_small b then begin
+    (* native [/] and [mod] truncate toward zero, as specified below *)
+    let x = to_small a and y = to_small b in
+    (of_small (x / y), of_small (x mod y))
+  end
   else if compare_mag a.mag b.mag < 0 then (zero, a)
   else begin
     let q, r = divmod_mag a.mag b.mag in
@@ -217,7 +232,13 @@ let divides d a =
   if is_zero d then is_zero a else is_zero (rem a d)
 
 let gcd a b =
-  let rec go a b = if is_zero b then a else go b (rem a b) in
+  let rec native x y = if y = 0 then x else native y (x mod y) in
+  let rec go a b =
+    if is_zero b then a
+    else if is_small a && is_small b then
+      of_small (native (to_small a) (to_small b))
+    else go b (rem a b)
+  in
   go (abs a) (abs b)
 
 let lcm a b =

@@ -7,7 +7,17 @@
     (sign-magnitude, base [2^30] limbs).
 
     All values are immutable.  [compare], [equal] and [hash] are structural
-    and consistent with each other. *)
+    and consistent with each other.
+
+    Word-size fast path: when both operands of [add] ([sub]) or of
+    [divmod] (and so [div], [rem], [divides], [divexact], [ediv_rem]) have
+    magnitude below [2^60] (at most two limbs), when both factors of [mul]
+    are below [2^30] (one limb), and whenever [gcd]'s Euclid loop reaches
+    two such values, the operation runs on native [int]s.  Its result is
+    packed back into the same normalized limb array the limb code
+    produces (a sum of two two-limb values may need a third limb), so the
+    two paths are indistinguishable to [compare], [equal] and [hash].
+    Larger operands use the limb code. *)
 
 type t
 

@@ -470,6 +470,61 @@ let prop_proposed_mod_ring_verifies =
       let r = Pipe.run ~ctx ~width:8 Pipe.Proposed system in
       Pipe.verify ~ctx system r.Pipe.prog)
 
+(* Represent.build output pinned byte for byte: block definitions, then
+   every representation's label, semantics (E exact, M mod-ring) and
+   expression.  The expected file was rendered before the word-size Zint
+   path and the Algdiv pre-filters went in; those are pure speed-ups, so
+   any difference here is a changed decomposition. *)
+let render_represent (name, polys, width) =
+  let ctx = Ring.make_ctx ~out_width:width () in
+  let r = Represent.build ~ctx polys in
+  let buf = Buffer.create 4096 in
+  Printf.bprintf buf "== %s\n" name;
+  List.iter
+    (fun (v, e) -> Printf.bprintf buf "  %s := %s\n" v (E.to_string e))
+    (Blocktab.bindings r.Represent.table);
+  Array.iteri
+    (fun i reps ->
+      List.iter
+        (fun (rep : Represent.rep) ->
+          Printf.bprintf buf "  [%d] %s %s: %s\n" i rep.Represent.label
+            (match rep.Represent.semantics with
+             | Represent.Exact -> "E"
+             | Represent.ModRing -> "M")
+            (E.to_string rep.Represent.expr))
+        reps)
+    r.Represent.reps;
+  Buffer.contents buf
+
+let test_represent_pinned () =
+  let module B = Polysynth_workloads.Benchmarks in
+  let bench name =
+    match B.by_name name with
+    | Some b -> (b.B.name, b.B.polys, b.B.width)
+    | None -> Alcotest.failf "unknown benchmark %s" name
+  in
+  let systems =
+    [ ("T14.1", Ex.table_14_1, 16); ("T14.2", Ex.table_14_2, 16) ]
+    @ List.map bench [ "SG 3x2"; "SG 4x2"; "Quad"; "Mibench"; "MVCS" ]
+    @ List.map
+        (fun (b : B.t) -> (b.B.name, b.B.polys, b.B.width))
+        (Polysynth_workloads.Extended.extended_suite ())
+  in
+  let expected =
+    In_channel.with_open_bin "data/represent_pinned.expected"
+      In_channel.input_all
+  in
+  let actual = String.concat "" (List.map render_represent systems) in
+  let rec first_diff i = function
+    | e :: es, a :: as_ when e = a -> first_diff (i + 1) (es, as_)
+    | [], [] -> ()
+    | es, as_ ->
+      let hd = function [] -> "<end of output>" | l :: _ -> l in
+      Alcotest.failf "line %d: expected %S, got %S" i (hd es) (hd as_)
+  in
+  let lines = String.split_on_char '\n' in
+  first_diff 1 (lines expected, lines actual)
+
 let () =
   Alcotest.run "core"
     [
@@ -515,6 +570,8 @@ let () =
             test_represent_exact_reps_expand;
           Alcotest.test_case "search table 14.1" `Quick test_search_table_14_1;
           Alcotest.test_case "coordinate descent" `Quick test_search_beam_on_large;
+          Alcotest.test_case "represent output pinned" `Quick
+            test_represent_pinned;
         ] );
       ( "integrated",
         [

@@ -16,13 +16,43 @@ let zint_of_parts =
       Z.add (Z.mul (Z.of_int a) (Z.mul (Z.of_int b) (Z.of_int b))) (Z.of_int c))
     QCheck.Gen.(triple small_int_gen small_int_gen small_int_gen)
 
-let arb_zint =
-  QCheck.make zint_of_parts ~print:Z.to_string
-
 let arb_small = QCheck.make small_int_gen ~print:string_of_int
 
 let prop name ?(count = 500) arb f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb f)
+
+(* Values straddling the word-size fast path: near +-2^30 (one/two limbs),
+   +-2^60 (two/three limbs), +-2^62, max_int and min_int; and 3+-limb
+   values well beyond the native range. *)
+let boundary_gen =
+  let open QCheck.Gen in
+  let anchor =
+    oneofl
+      [ Z.zero; Z.pow2 30; Z.pow2 60; Z.pow2 62; Z.of_int max_int;
+        Z.of_int min_int; Z.pow2 90; Z.pow2 125 ]
+  in
+  let near =
+    map2
+      (fun a (neg, off) ->
+        let v = Z.add a (Z.of_int off) in
+        if neg then Z.neg v else v)
+      anchor
+      (pair bool (int_range (-3) 3))
+  in
+  frequency
+    [ (2, near); (2, zint_of_parts); (1, map Z.of_int small_int_gen);
+      (1, map2 Z.mul zint_of_parts zint_of_parts) ]
+
+let arb_zint = QCheck.make boundary_gen ~print:Z.to_string
+
+(* Scaling by 2^90 pushes every non-zero operand to four or more limbs,
+   so the scaled computation runs the limb code: a reference for the
+   word-size fast path. *)
+let big_scale = Z.pow2 90
+let scaled a = Z.mul a big_scale
+
+(* same value, same normalized limbs: equal and hash agree *)
+let same a b = Z.equal a b && Z.hash a = Z.hash b
 
 (* unit tests --------------------------------------------------------------- *)
 
@@ -166,6 +196,46 @@ let test_to_int_opt_bounds () =
   Alcotest.(check bool) "2^61 fits" true (Z.to_int_opt (Z.pow2 61) <> None);
   Alcotest.(check bool) "2^63 too big" true (Z.to_int_opt (Z.pow2 63) = None)
 
+let test_limb_carry_roundtrip () =
+  (* 2^60 - 1 is the largest two-limb magnitude; +-2^60 and beyond need a
+     third limb, which a sum of two two-limb values can reach *)
+  let two60 = 1 lsl 60 in
+  List.iter
+    (fun n ->
+      let name = string_of_int n in
+      Alcotest.(check (option int)) name (Some n) (Z.to_int_opt (Z.of_int n));
+      check_z ("of_int vs limbs " ^ name) (Z.of_string name) (Z.of_int n))
+    [ two60 - 1; two60; two60 + 1; -two60 + 1; -two60; -two60 - 1;
+      (1 lsl 30) - 1; 1 lsl 30; -(1 lsl 30); (1 lsl 61) + 5; max_int;
+      min_int; min_int + 1 ];
+  let m = Z.of_int (two60 - 1) in
+  check_z "2-limb sum carries" (Z.of_string "2305843009213693950") (Z.add m m);
+  check_z "2-limb difference" (Z.neg (Z.of_string "2305843009213693950"))
+    (Z.sub (Z.neg m) m);
+  Alcotest.(check int) "3 limbs of bits" 61 (Z.num_bits (Z.add m m))
+
+let test_integer_root_boundaries () =
+  let module S = Polysynth_factor.Squarefree in
+  let root name n k expect =
+    Alcotest.(check (option z)) name expect (S.integer_root n k)
+  in
+  List.iter
+    (fun (r, k) ->
+      let n = Z.pow r k in
+      let name = Printf.sprintf "%s^%d" (Z.to_string r) k in
+      root name n k (Some r);
+      root (name ^ " + 1") (Z.add n Z.one) k None;
+      if Z.compare n Z.one > 0 then root (name ^ " - 1") (Z.sub n Z.one) k None;
+      if k land 1 = 1 then begin
+        root ("-" ^ name) (Z.neg n) k (Some (Z.neg r));
+        root ("-" ^ name ^ " - 1") (Z.sub (Z.neg n) Z.one) k None
+      end
+      else root ("-" ^ name) (Z.neg n) k None)
+    [ (Z.of_int ((1 lsl 15) - 1), 2); (Z.pow2 15, 2); (Z.of_int ((1 lsl 30) - 1), 2);
+      (Z.pow2 30, 2); (Z.of_int ((1 lsl 30) + 1), 2); (Z.pow2 31, 2);
+      (Z.of_int ((1 lsl 20) + 3), 3); (Z.pow2 20, 3); (Z.of_int 4093, 5);
+      (Z.of_int 379, 7); (Z.of_int ((1 lsl 30) + 1), 3); (Z.of_int 3, 37) ]
+
 (* properties --------------------------------------------------------------- *)
 
 let prop_add_commutes =
@@ -208,7 +278,12 @@ let prop_divmod_invariant =
     (fun (a, b) ->
       QCheck.assume (not (Z.is_zero b));
       let q, r = Z.divmod a b in
-      Z.equal a (Z.add (Z.mul q b) r) && Z.compare (Z.abs r) (Z.abs b) < 0)
+      Z.equal a (Z.add (Z.mul q b) r)
+      && Z.compare (Z.abs r) (Z.abs b) < 0
+      && (Z.is_zero r || Z.sign r = Z.sign a)
+      && Z.equal q (Z.div a b)
+      && Z.equal r (Z.rem a b)
+      && Z.divides b a = Z.is_zero r)
 
 let prop_string_roundtrip =
   prop "to_string/of_string roundtrip" arb_zint (fun a ->
@@ -219,7 +294,9 @@ let prop_gcd_divides =
     (fun (a, b) ->
       let g = Z.gcd a b in
       if Z.is_zero g then Z.is_zero a && Z.is_zero b
-      else Z.divides g a && Z.divides g b)
+      else
+        Z.sign g > 0 && Z.divides g a && Z.divides g b
+        && Z.is_one (Z.gcd (Z.div a g) (Z.div b g)))
 
 let prop_compare_total_order =
   prop "compare consistent with sub sign" QCheck.(pair arb_zint arb_zint)
@@ -238,6 +315,38 @@ let prop_num_bits_bound =
       let n = Z.num_bits a in
       Z.compare (Z.abs a) (Z.pow2 n) < 0
       && Z.compare (Z.pow2 (n - 1)) (Z.abs a) <= 0)
+
+let prop_fast_add_matches_limbs =
+  prop "boundary add/sub agree with the limb path" ~count:1000
+    QCheck.(pair arb_zint arb_zint)
+    (fun (a, b) ->
+      same (scaled (Z.add a b)) (Z.add (scaled a) (scaled b))
+      && same (scaled (Z.sub a b)) (Z.sub (scaled a) (scaled b)))
+
+let prop_fast_mul_matches_limbs =
+  prop "boundary mul agrees with the limb path" ~count:1000
+    QCheck.(pair arb_zint arb_zint)
+    (fun (a, b) -> same (scaled (Z.mul a b)) (Z.mul (scaled a) b))
+
+let prop_fast_divmod_matches_limbs =
+  prop "boundary divmod agrees with the limb path" ~count:1000
+    QCheck.(pair arb_zint arb_zint)
+    (fun (a, b) ->
+      QCheck.assume (not (Z.is_zero b));
+      let q, r = Z.divmod a b in
+      let q', r' = Z.divmod (scaled a) (scaled b) in
+      same q q' && same (scaled r) r')
+
+let prop_fast_gcd_matches_limbs =
+  prop "boundary gcd agrees with the limb path" ~count:1000
+    QCheck.(pair arb_zint arb_zint)
+    (fun (a, b) -> same (scaled (Z.gcd a b)) (Z.gcd (scaled a) (scaled b)))
+
+let prop_native_roundtrip =
+  prop "of_int/to_int_opt roundtrip" ~count:1000 arb_zint (fun a ->
+      match Z.to_int_opt a with
+      | Some n -> same a (Z.of_int n)
+      | None -> Z.num_bits a >= 63)
 
 let () =
   Alcotest.run "zint"
@@ -261,6 +370,10 @@ let () =
           Alcotest.test_case "divides" `Quick test_divides;
           Alcotest.test_case "num_bits" `Quick test_num_bits;
           Alcotest.test_case "to_int_opt bounds" `Quick test_to_int_opt_bounds;
+          Alcotest.test_case "limb carry roundtrip" `Quick
+            test_limb_carry_roundtrip;
+          Alcotest.test_case "integer_root at limb boundaries" `Quick
+            test_integer_root_boundaries;
         ] );
       ( "properties",
         [
@@ -277,5 +390,13 @@ let () =
           prop_compare_total_order;
           prop_hash_consistent;
           prop_num_bits_bound;
+        ] );
+      ( "fast path",
+        [
+          prop_fast_add_matches_limbs;
+          prop_fast_mul_matches_limbs;
+          prop_fast_divmod_matches_limbs;
+          prop_fast_gcd_matches_limbs;
+          prop_native_roundtrip;
         ] );
     ]
