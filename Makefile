@@ -1,6 +1,7 @@
 # Development / CI entry points.
 #
-#   make ci      build + full test suite + format check + lint + benchmark smoke
+#   make ci      build + full test suite + format check + lint + short fuzz
+#                + benchmark smoke
 #   make build   compile everything
 #   make test    run the alcotest/qcheck suites
 #   make fmt     check formatting (skipped when ocamlformat is absent)
@@ -8,6 +9,8 @@
 #                benchmark and example system (exit 2 on a refuted/unknown
 #                certificate, 4 on a scheduler/binder invariant violation,
 #                3 on other error-severity findings)
+#   make fuzz    short differential fuzz run (20 random systems through
+#                every method and all six oracles of bin/fuzz.ml)
 #   make bench   quick benchmark smoke run (tables + short timings)
 #   make bench-json
 #                render a quick-mode bench document (speedups vs the
@@ -15,9 +18,9 @@
 #                it against the schema; the committed BENCH_PR3*.json are
 #                the historical anchor and stay unchanged
 
-.PHONY: ci build test fmt lint bench bench-json
+.PHONY: ci build test fmt lint fuzz bench bench-json
 
-ci: build test fmt lint bench bench-json
+ci: build test fmt lint fuzz bench bench-json
 
 lint:
 	dune exec bin/polysynth.exe -- --benchmark all --check --lint --simplify
@@ -38,6 +41,9 @@ fmt:
 	else \
 	  echo "ocamlformat not installed; skipping format check"; \
 	fi
+
+fuzz:
+	dune exec bin/fuzz.exe -- 20
 
 bench:
 	dune exec bench/main.exe -- --quick

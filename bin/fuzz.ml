@@ -1,5 +1,5 @@
 (* Differential fuzzer: random polynomial systems through every synthesis
-   method, cross-checked at five levels —
+   method, cross-checked at six levels —
    1. certificates: the engine's own equivalence certifier must return
       Verified for every method (a Refuted certificate prints its
       counterexample input; Unknown is also a failure here, since these
@@ -15,6 +15,10 @@
       netlist Verified against the source system, and never proposes a
       rewrite the certificate refutes (a Refuted rejection would mean the
       proposer itself is unsound, not just imprecise).
+   6. word-level: the native-int simulator (Netlist.word_eval) equals the
+      Zint reference (Netlist.cell_values) at every cell of the netlist,
+      its MCM lowering and its simplified form, at the fuzzed width and at
+      a random width up to Netlist.max_word_width.
 
    Usage:  fuzz [ITERATIONS] [SEED]      (defaults: 200, 1)
    Exit code 0 = all checks passed. *)
@@ -31,6 +35,8 @@ module Diag = Polysynth_analysis.Diag
 module Suite = Polysynth_analysis.Suite
 module Simplify = Polysynth_analysis.Simplify
 module Canonical = Polysynth_finite_ring.Canonical
+module Vectors = Polysynth_hw.Vectors
+module Z = Polysynth_zint.Zint
 
 type rng = { mutable state : int }
 
@@ -147,6 +153,40 @@ let () =
             (Simplify.describe rw)
         | _ -> ())
       o.Simplify.rejected;
+    (* 6. word-level simulation = Zint simulation; its own generator keeps
+       the fuzz corpus independent of this oracle *)
+    let vrng = Vectors.make_rng seed in
+    let word_check label netlist =
+      let sim = Netlist.word_sim netlist in
+      let names = Netlist.word_inputs sim in
+      let words = Array.make (Netlist.num_cells netlist) 0 in
+      for _ = 1 to 5 do
+        let inputs = Array.map (fun _ -> Vectors.word vrng) names in
+        let env v =
+          let rec find i = if names.(i) = v then i else find (i + 1) in
+          Z.of_int inputs.(find 0)
+        in
+        let reference = Netlist.cell_values netlist env in
+        Netlist.word_eval sim inputs words;
+        Array.iteri
+          (fun id z ->
+            if not (Z.equal z (Z.of_int words.(id))) then
+              fail "%s word-level cell %d at width %d: %d, Zint %s" label id
+                netlist.Netlist.width words.(id) (Z.to_string z))
+          reference
+      done
+    in
+    let rewidth netlist =
+      {
+        netlist with
+        Netlist.width = 1 + (Vectors.word vrng mod Netlist.max_word_width);
+      }
+    in
+    List.iter
+      (fun (label, netlist) ->
+        word_check label netlist;
+        word_check label (rewidth netlist))
+      [ ("netlist", n); ("MCM", opt); ("simplified", o.Simplify.netlist) ];
     (* stats *)
     let base = List.nth reports 2 in
     if base.Engine.cost.Polysynth_hw.Cost.area > 0 then

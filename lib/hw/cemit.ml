@@ -1,17 +1,5 @@
 module Z = Polysynth_zint.Zint
 
-type rng = { mutable state : int }
-
-let make_rng seed = { state = (seed * 2654435761) lor 1 }
-
-let next rng bound =
-  let s = rng.state in
-  let s = s lxor (s lsl 13) in
-  let s = s lxor (s lsr 7) in
-  let s = s lxor (s lsl 17) in
-  rng.state <- s land max_int;
-  if bound <= 0 then 0 else rng.state mod bound
-
 let emit ?(func_name = "polysynth") ?self_check ?(seed = 1) (n : Netlist.t) =
   let w = n.Netlist.width in
   if w > 64 then invalid_arg "Cemit.emit: width exceeds 64 bits";
@@ -62,25 +50,14 @@ let emit ?(func_name = "polysynth") ?self_check ?(seed = 1) (n : Netlist.t) =
   (match self_check with
    | None -> ()
    | Some vectors ->
-     let rng = make_rng seed in
+     let rng = Vectors.make_rng seed in
      add "\nint main(void) {\n";
      add "  int errors = 0;\n";
      List.iter
        (fun (name, _) -> add "  word %s;\n" (Verilog.legalize name))
        n.Netlist.outputs;
      for _ = 1 to vectors do
-       let assignment =
-         List.map
-           (fun v ->
-             let hi = next rng (1 lsl 30) and lo = next rng (1 lsl 30) in
-             let value =
-               Z.erem_pow2
-                 (Z.add (Z.mul (Z.of_int hi) (Z.pow2 30)) (Z.of_int lo))
-                 w
-             in
-             (v, value))
-           inputs
-       in
+       let assignment = Vectors.assignment rng ~width:w inputs in
        let env v =
          match List.assoc_opt v assignment with Some x -> x | None -> Z.zero
        in

@@ -173,7 +173,7 @@ let to_prog n =
     outputs = List.map (fun (nm, id) -> (nm, exprs.(id))) n.outputs;
   }
 
-let eval n env =
+let cell_values n env =
   let values = Array.make (Array.length n.cells) Z.zero in
   let clamp v = Z.erem_pow2 v n.width in
   Array.iter
@@ -192,4 +192,81 @@ let eval n env =
       in
       values.(cell.id) <- clamp v)
     n.cells;
+  values
+
+let eval n env =
+  let values = cell_values n env in
   List.map (fun (name, id) -> (name, values.(id))) n.outputs
+
+(* Word-level simulation.  A value reduced mod 2^w with w <= 62 is a
+   non-negative native int, and native +, - and * wrap mod 2^63, whose low
+   w bits are the bit-vector result; so masking after every cell gives
+   exactly [cell_values].  Constants and Cmult factors are reduced once
+   here, and a shift by k >= w is the constant 0 (native [lsl] by 63 or
+   more is unspecified). *)
+
+let max_word_width = 62
+
+type word_op =
+  | Wconst of int
+  | Winput of int (* index into the input vector *)
+  | Wneg of int
+  | Wadd of int * int
+  | Wsub of int * int
+  | Wmul of int * int
+  | Wcmult of int * int (* reduced factor, operand *)
+  | Wshl of int * int (* shift amount below the width, operand *)
+
+type word_sim = {
+  mask : int;
+  word_inputs : string array;
+  dst : int array; (* cell id written by each op *)
+  ops : word_op array;
+}
+
+let word_sim n =
+  if n.width > max_word_width then
+    invalid_arg "Netlist.word_sim: width exceeds 62 bits";
+  let reduce c = Z.to_int_exn (Z.erem_pow2 c n.width) in
+  let word_inputs = Array.of_list (inputs n) in
+  let input_index = Hashtbl.create 8 in
+  Array.iteri (fun i v -> Hashtbl.replace input_index v i) word_inputs;
+  let compile cell =
+    match cell.op, cell.fanin with
+    | Input v, _ -> Winput (Hashtbl.find input_index v)
+    | Constant c, _ -> Wconst (reduce c)
+    | Negate, a :: _ -> Wneg a
+    | Add2, a :: b :: _ -> Wadd (a, b)
+    | Sub2, a :: b :: _ -> Wsub (a, b)
+    | Mult2, a :: b :: _ -> Wmul (a, b)
+    | Cmult c, a :: _ -> Wcmult (reduce c, a)
+    | Shl k, _ :: _ when k >= n.width -> Wconst 0
+    | Shl k, a :: _ -> Wshl (k, a)
+    | (Negate | Add2 | Sub2 | Mult2 | Cmult _ | Shl _), _ ->
+      invalid_arg "Netlist.word_sim: missing fan-in"
+  in
+  {
+    mask = (1 lsl n.width) - 1;
+    word_inputs;
+    dst = Array.map (fun cell -> cell.id) n.cells;
+    ops = Array.map compile n.cells;
+  }
+
+let word_inputs s = s.word_inputs
+
+let word_eval s inputs values =
+  let mask = s.mask in
+  for i = 0 to Array.length s.ops - 1 do
+    let v =
+      match s.ops.(i) with
+      | Wconst c -> c
+      | Winput j -> inputs.(j)
+      | Wneg a -> - values.(a)
+      | Wadd (a, b) -> values.(a) + values.(b)
+      | Wsub (a, b) -> values.(a) - values.(b)
+      | Wmul (a, b) -> values.(a) * values.(b)
+      | Wcmult (c, a) -> c * values.(a)
+      | Wshl (k, a) -> values.(a) lsl k
+    in
+    values.(s.dst.(i)) <- v land mask
+  done

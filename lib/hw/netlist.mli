@@ -49,6 +49,41 @@ val to_prog : t -> Polysynth_expr.Prog.t
     outputs as {!eval} once results are reduced mod [2^width] — this is
     what lets {!Polysynth_analysis.Equiv} certify netlist rewrites. *)
 
+val cell_values : t -> (string -> Z.t) -> Z.t array
+(** Bit-accurate evaluation of every cell, indexed by cell id: each cell
+    result is reduced into [[0, 2^width)] (wrap-around bit-vector
+    arithmetic).  Works at any width; it is the reference for
+    {!word_eval}. *)
+
 val eval : t -> (string -> Z.t) -> (string * Z.t) list
-(** Bit-accurate evaluation: every cell result is reduced into
-    [[0, 2^width)] (wrap-around bit-vector arithmetic). *)
+(** The outputs of {!cell_values}, by name and in order. *)
+
+(** {2 Word-level simulation}
+
+    For [width <= 62] a reduced value is a non-negative native int.
+    Native [+], [-] and [*] wrap mod [2^63], and [2^width] divides
+    [2^63], so the low [width] bits of the native result are exactly the
+    bit-vector result: masking with [2^width - 1] after every cell gives
+    the same values as {!cell_values}.  Constants and [Cmult] factors are
+    reduced mod [2^width] once per netlist, and [Shl k] with
+    [k >= width] is the constant 0. *)
+
+val max_word_width : int
+(** 62, the widest netlist {!word_sim} accepts. *)
+
+type word_sim
+(** A netlist prepared for word-level simulation: reduced constants and
+    fan-in arrays, built once and reused for every input vector. *)
+
+val word_sim : t -> word_sim
+(** @raise Invalid_argument when the width exceeds {!max_word_width}. *)
+
+val word_inputs : word_sim -> string array
+(** The input names in the order {!word_eval} reads them: {!inputs}. *)
+
+val word_eval : word_sim -> int array -> int array -> unit
+(** [word_eval s inputs values] simulates one input vector without
+    allocating.  [inputs.(i)] is the value of [(word_inputs s).(i)] (it is
+    masked to the width); [values], of length {!num_cells}, receives every
+    cell's value indexed by cell id, equal to {!cell_values} converted to
+    ints. *)

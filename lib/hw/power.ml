@@ -7,51 +7,69 @@ type report = {
   per_cell_activity : float array;
 }
 
-(* deterministic xorshift, as elsewhere in the project *)
-type rng = { mutable state : int }
+(* Number of set bits of a non-negative int below 2^62 (SWAR: pair, nibble
+   and byte sums, then one multiply adds the bytes into the top byte; every
+   count fits its field, so nothing carries out of it). *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
 
-let make_rng seed = { state = (seed * 2654435761) lor 1 }
-
-let next rng bound =
-  let s = rng.state in
-  let s = s lxor (s lsl 13) in
-  let s = s lxor (s lsr 7) in
-  let s = s lxor (s lsl 17) in
-  rng.state <- s land max_int;
-  if bound <= 0 then 0 else rng.state mod bound
-
-let hamming_distance a b w =
-  (* both already reduced into [0, 2^w) *)
-  let rec go i acc =
-    if i >= w then acc
-    else
-      let bit z =
-        Z.to_int_exn (Z.erem_pow2 (Z.div z (Z.pow2 i)) 1)
-      in
-      go (i + 1) (acc + if bit a <> bit b then 1 else 0)
+(* Toggles per cell over [samples] transitions, on native ints.  The input
+   stream is the one the Zint path draws: word_eval masks each sample to
+   the width where the Zint path reduces it. *)
+let word_toggles (n : Netlist.t) ~samples rng =
+  let sim = Netlist.word_sim n in
+  let inputs = Array.make (Array.length (Netlist.word_inputs sim)) 0 in
+  let num_cells = Array.length n.Netlist.cells in
+  let simulate values =
+    for i = 0 to Array.length inputs - 1 do
+      inputs.(i) <- Vectors.word rng
+    done;
+    Netlist.word_eval sim inputs values
   in
-  go 0 0
+  let toggles = Array.make num_cells 0 in
+  let prev = ref (Array.make num_cells 0) and cur = ref (Array.make num_cells 0) in
+  simulate !prev;
+  for _ = 1 to samples do
+    simulate !cur;
+    let p = !prev and c = !cur in
+    for i = 0 to num_cells - 1 do
+      toggles.(i) <- toggles.(i) + popcount (p.(i) lxor c.(i))
+    done;
+    prev := c;
+    cur := p
+  done;
+  toggles
 
-let cell_values (n : Netlist.t) env =
-  let values = Array.make (Array.length n.Netlist.cells) Z.zero in
-  let clamp v = Z.erem_pow2 v n.Netlist.width in
-  Array.iter
-    (fun cell ->
-      let arg k = values.(List.nth cell.Netlist.fanin k) in
-      let v =
-        match cell.Netlist.op with
-        | Netlist.Input v -> env v
-        | Netlist.Constant c -> c
-        | Netlist.Negate -> Z.neg (arg 0)
-        | Netlist.Add2 -> Z.add (arg 0) (arg 1)
-        | Netlist.Sub2 -> Z.sub (arg 0) (arg 1)
-        | Netlist.Mult2 -> Z.mul (arg 0) (arg 1)
-        | Netlist.Cmult c -> Z.mul c (arg 0)
-        | Netlist.Shl k -> Z.mul (Z.pow2 k) (arg 0)
-      in
-      values.(cell.Netlist.id) <- clamp v)
-    n.Netlist.cells;
-  values
+(* Hamming distance of two values in [0, 2^w), 62 bits at a time. *)
+let word_base = Z.pow2 Netlist.max_word_width
+
+let rec hamming_distance a b =
+  if Z.is_zero a && Z.is_zero b then 0
+  else
+    let low z = Z.to_int_exn (Z.erem_pow2 z Netlist.max_word_width) in
+    let high z = Z.div z word_base in
+    popcount (low a lxor low b) + hamming_distance (high a) (high b)
+
+(* The reference path, for any width: Zint simulation of every cell. *)
+let zint_toggles (n : Netlist.t) ~samples rng =
+  let inputs = Netlist.inputs n in
+  let simulate () =
+    let env = Vectors.assignment rng ~width:n.Netlist.width inputs in
+    Netlist.cell_values n (fun v -> List.assoc v env)
+  in
+  let toggles = Array.make (Array.length n.Netlist.cells) 0 in
+  let prev = ref (simulate ()) in
+  for _ = 1 to samples do
+    let current = simulate () in
+    Array.iteri
+      (fun i v -> toggles.(i) <- toggles.(i) + hamming_distance !prev.(i) v)
+      current;
+    prev := current
+  done;
+  toggles
 
 let cell_area (model : Cost.model) width op =
   match op with
@@ -65,33 +83,11 @@ let cell_area (model : Cost.model) width op =
 let estimate ?(samples = 64) ?(seed = 1) (n : Netlist.t) =
   if samples < 1 then invalid_arg "Power.estimate: samples < 1";
   let w = n.Netlist.width in
-  let rng = make_rng seed in
-  let inputs = Netlist.inputs n in
-  let random_env () =
-    let bindings =
-      List.map
-        (fun v ->
-          (* two limbs so widths above 30 still get full-range values *)
-          let hi = next rng (1 lsl 30) and lo = next rng (1 lsl 30) in
-          let value =
-            Z.erem_pow2 (Z.add (Z.mul (Z.of_int hi) (Z.pow2 30)) (Z.of_int lo)) w
-          in
-          (v, value))
-        inputs
-    in
-    fun v ->
-      match List.assoc_opt v bindings with Some x -> x | None -> Z.zero
+  let rng = Vectors.make_rng seed in
+  let toggles =
+    if w <= Netlist.max_word_width then word_toggles n ~samples rng
+    else zint_toggles n ~samples rng
   in
-  let num_cells = Array.length n.Netlist.cells in
-  let toggles = Array.make num_cells 0 in
-  let prev = ref (cell_values n (random_env ())) in
-  for _ = 1 to samples do
-    let current = cell_values n (random_env ()) in
-    Array.iteri
-      (fun i v -> toggles.(i) <- toggles.(i) + hamming_distance !prev.(i) v w)
-      current;
-    prev := current
-  done;
   let per_cell_activity =
     Array.map (fun t -> float_of_int t /. float_of_int samples) toggles
   in

@@ -103,10 +103,19 @@ let compare a b =
   in
   go a b
 
+(* The fold is linear in the coefficients, so polynomials whose
+   coefficients share low zero bits (64i*x + 64j*y) agree in the low bits
+   that [Hashtbl.Make] picks a bucket with.  A final xorshift-multiply mix
+   spreads every bit of the fold over the low bits. *)
 let hash p =
-  List.fold_left
-    (fun acc (c, m) -> (acc * 8191 + Z.hash c + (Monomial.hash m * 31)) land max_int)
-    3 p
+  let h =
+    List.fold_left
+      (fun acc (c, m) -> (acc * 8191 + Z.hash c + (Monomial.hash m * 31)) land max_int)
+      3 p
+  in
+  let h = (h lxor (h lsr 32)) * 0x3c79ac492ba7b653 in
+  let h = (h lxor (h lsr 29)) * 0x1c69b3f74ac4ae35 in
+  (h lxor (h lsr 32)) land max_int
 
 let neg p = List.map (fun (c, m) -> (Z.neg c, m)) p
 

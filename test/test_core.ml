@@ -358,7 +358,14 @@ let test_objectives () =
   in
   let area_r = run Search.Min_area in
   let delay_r = run Search.Min_delay in
+  let power_r = run Search.Min_power in
   let ops_r = run Search.Min_ops in
+  (* the min-power key: Power.estimate with the samples Search uses *)
+  let power (r : Pipe.report) =
+    (Polysynth_hw.Power.estimate ~samples:16
+       (Polysynth_hw.Netlist.of_prog ~width:8 r.Pipe.prog))
+      .Polysynth_hw.Power.total
+  in
   (* each objective is at least as good as the others on its own metric *)
   Alcotest.(check bool) "min-area has min area" true
     (area_r.Pipe.cost.Cost.area <= delay_r.Pipe.cost.Cost.area
@@ -367,10 +374,41 @@ let test_objectives () =
     (delay_r.Pipe.cost.Cost.delay <= area_r.Pipe.cost.Cost.delay +. 1e-9);
   Alcotest.(check bool) "min-ops has min ops" true
     (Dag.total_ops ops_r.Pipe.counts <= Dag.total_ops area_r.Pipe.counts);
+  Alcotest.(check bool) "min-power has min power" true
+    (List.for_all (fun r -> power power_r <= power r) [ area_r; delay_r; ops_r ]);
   (* all of them remain exact *)
   List.iter
     (fun r -> Alcotest.(check bool) "exact" true (Pipe.verify system r.Pipe.prog))
-    [ area_r; delay_r; ops_r ]
+    [ area_r; delay_r; power_r; ops_r ]
+
+(* the --objectives table; Mibench's min-power row differs from its
+   min-area row, so this pins a choice the power estimate makes *)
+let test_objective_rows_pinned () =
+  let module T = Polysynth_report.Tables in
+  let render (name, rows) =
+    List.map
+      (fun (r : T.ablation_row) ->
+        Printf.sprintf "%s %s %d %.1f %d" name r.T.variant r.T.area r.T.delay
+          r.T.ops)
+      rows
+  in
+  Alcotest.(check (list string))
+    "objective rows"
+    [
+      "Quad min-area 2656 38.0 13";
+      "Quad min-delay 2656 38.0 13";
+      "Quad min-power 2656 38.0 13";
+      "Quad min-ops 2656 38.0 13";
+      "Mibench min-area 2152 23.8 18";
+      "Mibench min-delay 2704 21.8 24";
+      "Mibench min-power 2152 23.8 19";
+      "Mibench min-ops 2480 22.4 17";
+      "MVCS min-area 3296 57.4 6";
+      "MVCS min-delay 3296 57.4 6";
+      "MVCS min-power 3296 57.4 6";
+      "MVCS min-ops 3296 57.4 6";
+    ]
+    (List.concat_map render (T.objective_rows ()))
 
 let test_objective_power_runs () =
   let system = Ex.table_14_1 in
@@ -603,6 +641,8 @@ let () =
         [
           Alcotest.test_case "objective dominance" `Quick test_objectives;
           Alcotest.test_case "power objective" `Quick test_objective_power_runs;
+          Alcotest.test_case "objective rows pinned" `Quick
+            test_objective_rows_pinned;
         ] );
       ( "properties",
         [

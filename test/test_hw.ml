@@ -723,6 +723,197 @@ let prop_cost_nonnegative =
       && Cost.total_operators r
          >= r.Cost.num_mults)
 
+(* golden power / vector-stream reports -------------------------------------------- *)
+
+(* A hand-built netlist that of_prog never produces: constants kept as cells
+   (one negative, one wider than 64 bits), shifts by less than, equal to and
+   more than the widths under test, and a negative wide Cmult factor.  The
+   input cells are not in sorted order. *)
+let mixed_netlist width =
+  let c id op fanin = { N.id; op; fanin } in
+  let wide = Z.add (Z.pow2 70) (Z.of_int 3) in
+  let neg_wide = Z.sub (Z.of_int 12345) (Z.pow2 65) in
+  {
+    N.cells =
+      [|
+        c 0 (N.Input "z") [];
+        c 1 (N.Input "x") [];
+        c 2 (N.Input "y") [];
+        c 3 (N.Constant (Z.of_int 5)) [];
+        c 4 (N.Constant (Z.of_int (-7))) [];
+        c 5 (N.Constant wide) [];
+        c 6 N.Add2 [ 1; 3 ];
+        c 7 N.Mult2 [ 6; 2 ];
+        c 8 (N.Cmult (Z.of_int (-3))) [ 7 ];
+        c 9 (N.Shl 3) [ 8 ];
+        c 10 (N.Shl 31) [ 0 ];
+        c 11 (N.Shl 62) [ 6 ];
+        c 12 (N.Shl 70) [ 7 ];
+        c 13 N.Sub2 [ 9; 10 ];
+        c 14 N.Negate [ 13 ];
+        c 15 N.Add2 [ 14; 4 ];
+        c 16 (N.Cmult neg_wide) [ 15 ];
+        c 17 N.Mult2 [ 16; 5 ];
+        c 18 N.Sub2 [ 11; 12 ];
+        c 19 N.Add2 [ 17; 18 ];
+        c 20 (N.Shl 63) [ 2 ];
+        c 21 (N.Shl 1) [ 20 ];
+      |];
+    outputs = [ ("o1", 19); ("o2", 15); ("o3", 21) ];
+    width;
+  }
+
+let pinned_netlists width =
+  [
+    ("mixed", mixed_netlist width);
+    ("xyz", N.of_prog ~width (prog_of_strings [ "x*y + 3*z"; "x*y - 5*x*z + 7" ]));
+    ( "mvcs",
+      N.of_prog ~width
+        (prog_of_strings
+           [ "256*x^3 + 1536*x^2*y + 3072*x*y^2 + 2048*y^3 - 1536*x - 3072*y" ])
+    );
+  ]
+
+let pinned_widths = [ 1; 8; 16; 32; 61; 62; 63; 64 ]
+
+let render_power_pinned () =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun width ->
+      List.iter
+        (fun (name, n) ->
+          List.iter
+            (fun (seed, samples) ->
+              let r = Power.estimate ~seed ~samples n in
+              Printf.bprintf buf
+                "%s w=%d seed=%d samples=%d total=%h dynamic=%h leakage=%h \
+                 activity=%s\n"
+                name width seed samples r.Power.total r.Power.dynamic
+                r.Power.leakage
+                (String.concat ","
+                   (Array.to_list
+                      (Array.map (Printf.sprintf "%h") r.Power.per_cell_activity))))
+            [ (1, 16); (1, 64); (7, 16); (12345, 5) ])
+        (pinned_netlists width))
+    pinned_widths;
+  Buffer.contents buf
+
+let render_vectors_pinned () =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun width ->
+      List.iter
+        (fun (name, n) ->
+          Printf.bprintf buf "== %s w=%d testbench\n%s" name width
+            (TB.emit ~vectors:4 ~seed:3 n);
+          Printf.bprintf buf "== %s w=%d c\n%s" name width
+            (Polysynth_hw.Cemit.emit ~self_check:4 ~seed:3 n))
+        (pinned_netlists width))
+    [ 1; 8; 32; 62; 64 ];
+  Buffer.contents buf
+
+let expect_pinned file actual =
+  let expected = In_channel.with_open_bin file In_channel.input_all in
+  let rec first_diff i = function
+    | e :: es, a :: as_ when e = a -> first_diff (i + 1) (es, as_)
+    | [], [] -> ()
+    | es, as_ ->
+      let hd = function [] -> "<end of output>" | l :: _ -> l in
+      Alcotest.failf "%s line %d: expected %S, got %S" file i (hd es) (hd as_)
+  in
+  let lines = String.split_on_char '\n' in
+  first_diff 1 (lines expected, lines actual)
+
+(* Power reports at widths on both sides of Netlist.max_word_width, and the
+   testbench / C self-check vectors, as rendered before the word-level path
+   and the shared vector generator existed. *)
+let test_power_pinned () =
+  expect_pinned "data/power_pinned.expected" (render_power_pinned ())
+
+let test_vectors_pinned () =
+  expect_pinned "data/vectors_pinned.expected" (render_vectors_pinned ())
+
+let test_word_sim_width_limit () =
+  Alcotest.check_raises "width 63"
+    (Invalid_argument "Netlist.word_sim: width exceeds 62 bits") (fun () ->
+      ignore (N.word_sim (mixed_netlist 63)));
+  ignore (N.word_sim (mixed_netlist N.max_word_width))
+
+(* random netlists: every op, constants and Cmult factors of any sign and
+   size, shifts past the width, inputs of any sign *)
+let gen_word_case =
+  QCheck.Gen.(
+    let names = [| "a"; "b"; "c" |] in
+    let gen_z =
+      oneof
+        [
+          map Z.of_int small_signed_int;
+          map Z.of_int int;
+          map2
+            (fun hi lo -> Z.add (Z.mul (Z.of_int hi) (Z.pow2 62)) (Z.of_int lo))
+            int int;
+        ]
+    in
+    let* width = int_range 1 N.max_word_width in
+    let* num_inputs = int_range 1 3 in
+    let* num_ops = int_range 1 24 in
+    let rec build id acc =
+      if id >= num_inputs + num_ops then return (List.rev acc)
+      else
+        let pick = int_bound (id - 1) in
+        let* op, fanin =
+          frequency
+            [
+              (1, map (fun c -> (N.Constant c, [])) gen_z);
+              (2, map (fun a -> (N.Negate, [ a ])) pick);
+              (3, map2 (fun a b -> (N.Add2, [ a; b ])) pick pick);
+              (3, map2 (fun a b -> (N.Sub2, [ a; b ])) pick pick);
+              (3, map2 (fun a b -> (N.Mult2, [ a; b ])) pick pick);
+              (2, map2 (fun c a -> (N.Cmult c, [ a ])) gen_z pick);
+              (2, map2 (fun k a -> (N.Shl k, [ a ])) (int_bound 70) pick);
+            ]
+        in
+        build (id + 1) ({ N.id; op; fanin } :: acc)
+    in
+    let inputs =
+      List.init num_inputs (fun i -> { N.id = i; op = N.Input names.(i); fanin = [] })
+    in
+    let* ops = build num_inputs [] in
+    let cells = Array.of_list (inputs @ ops) in
+    let n =
+      { N.cells; outputs = [ ("out", Array.length cells - 1) ]; width }
+    in
+    let* values = array_repeat num_inputs int in
+    return (n, values))
+
+let prop_word_eval_matches_cell_values =
+  prop "word_eval = cell_values" ~count:500
+    (QCheck.make
+       ~print:(fun (n, values) ->
+         Printf.sprintf "width %d, inputs [%s]: %s" n.N.width
+           (String.concat "; " (Array.to_list (Array.map string_of_int values)))
+           (String.concat "; "
+              (Array.to_list
+                 (Array.map
+                    (fun c ->
+                      Printf.sprintf "%d=%s(%s)" c.N.id (N.op_to_string c.N.op)
+                        (String.concat "," (List.map string_of_int c.N.fanin)))
+                    n.N.cells))))
+       gen_word_case)
+    (fun (n, values) ->
+      let sim = N.word_sim n in
+      let index v =
+        let names = N.word_inputs sim in
+        let rec go i = if names.(i) = v then i else go (i + 1) in
+        go 0
+      in
+      let reference =
+        N.cell_values n (fun v -> Z.of_int values.(index v))
+      in
+      let words = Array.make (N.num_cells n) (-1) in
+      N.word_eval sim values words;
+      Array.for_all2 (fun z w -> Z.equal z (Z.of_int w)) reference words)
+
 let () =
   Alcotest.run "hw"
     [
@@ -759,6 +950,11 @@ let () =
           Alcotest.test_case "leakage tracks area" `Quick
             test_power_leakage_tracks_area;
           Alcotest.test_case "invalid samples" `Quick test_power_invalid_samples;
+          Alcotest.test_case "reports pinned" `Quick test_power_pinned;
+          Alcotest.test_case "vector streams pinned" `Quick test_vectors_pinned;
+          Alcotest.test_case "word_sim width limit" `Quick
+            test_word_sim_width_limit;
+          prop_word_eval_matches_cell_values;
         ] );
       ( "range",
         [

@@ -495,6 +495,27 @@ let prop_subst_eval_commute =
       let e' v = if String.equal v "x" then P.eval e q else e v in
       Z.equal direct (P.eval e' a))
 
+(* Hashtbl.Make picks a bucket from the low bits of [P.hash]; polynomials
+   whose coefficients share low zero bits must still spread over them. *)
+let test_hash_spreads_buckets () =
+  let module Tbl = Hashtbl.Make (P) in
+  let tbl = Tbl.create 16 in
+  for i = 0 to 99 do
+    for j = 0 to 99 do
+      let c k = Z.of_int (64 * k) in
+      Tbl.replace tbl
+        (P.add (P.mul (P.const (c i)) (P.var "x")) (P.mul (P.const (c j)) (P.var "y")))
+        ()
+    done
+  done;
+  let stats = Tbl.stats tbl in
+  Alcotest.(check int) "distinct keys" 10_000 stats.Hashtbl.num_bindings;
+  let empty = stats.Hashtbl.bucket_histogram.(0) in
+  if stats.Hashtbl.max_bucket_length > 12 || 2 * empty > stats.Hashtbl.num_buckets
+  then
+    Alcotest.failf "%d of %d buckets empty, longest chain %d" empty
+      stats.Hashtbl.num_buckets stats.Hashtbl.max_bucket_length
+
 let () =
   Alcotest.run "poly"
     [
@@ -529,6 +550,8 @@ let () =
           Alcotest.test_case "subst" `Quick test_subst;
           Alcotest.test_case "coeffs_in" `Quick test_coeffs_in;
           Alcotest.test_case "to_string" `Quick test_to_string;
+          Alcotest.test_case "hash spreads buckets" `Quick
+            test_hash_spreads_buckets;
         ] );
       ( "parse",
         [
