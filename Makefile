@@ -17,8 +17,13 @@
 #                committed baseline) to _build/BENCH_quick.json and validate
 #                it against the schema; the committed BENCH_PR3*.json are
 #                the historical anchor and stay unchanged
+#   make represent-dump
+#                print Represent.build's output over the named and random_mix
+#                systems (ring on and off) to _build/represent_dump.txt;
+#                cmp it against the same file from another commit to show a
+#                change leaves every decomposition byte-identical
 
-.PHONY: ci build test fmt lint fuzz bench bench-json
+.PHONY: ci build test fmt lint fuzz bench bench-json represent-dump
 
 ci: build test fmt lint fuzz bench bench-json
 
@@ -53,3 +58,7 @@ bench-json:
 	dune exec bench/main.exe -- --quick --json \
 	  --baseline BENCH_PR3_BASELINE.json > _build/BENCH_quick.json
 	dune exec bench/main.exe -- --validate _build/BENCH_quick.json
+
+represent-dump:
+	mkdir -p _build
+	dune exec bench/represent_dump.exe > _build/represent_dump.txt

@@ -6,21 +6,45 @@ module Dag = Polysynth_expr.Dag
 module Kernel = Polysynth_cse.Kernel
 module Squarefree = Polysynth_factor.Squarefree
 
-module PolyTbl = Hashtbl.Make (Poly)
+(* A memo key carries its polynomial's hash, computed once per visit:
+   lookups, inserts and table resizes then never rehash it. *)
+type key = { p : Poly.t; h : int }
+
+module Memo = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b = Poly.equal a.p b.p
+  let hash k = k.h
+end)
 
 (* The memo is keyed by the polynomial alone and lives for one session.
    Adding the recursion depth to the key, or sharing the memo across
-   sessions, would change which decomposition wins. *)
+   sessions, would change which decomposition wins.  [names.(i)] caches
+   the block name of the [i]th divisor once this session has used it. *)
 type session = {
   table : Blocktab.t;
   divs : Poly.t list;
-  memo : Expr.t PolyTbl.t;
+  names : string option array;
+  memo : Expr.t ref Memo.t;
 }
 
 let make_session table ~divisors =
-  { table; divs = divisors; memo = PolyTbl.create 64 }
+  {
+    table;
+    divs = divisors;
+    names = Array.make (List.length divisors) None;
+    memo = Memo.create 64;
+  }
 
 let divisors s = s.divs
+
+let divisor_name s i d =
+  match s.names.(i) with
+  | Some name -> name
+  | None ->
+    let name = Blocktab.divisor_var s.table d in
+    s.names.(i) <- Some name;
+    name
 
 let cost e = Dag.total_ops (Dag.tree_counts e)
 
@@ -80,18 +104,21 @@ let could_be_perfect_power p =
        [ 2; 3; 5; 7 ]
 
 let rec decompose ?(depth = 0) s p =
-  match PolyTbl.find_opt s.memo p with
-  | Some e -> e
+  let key = { p; h = Poly.hash p } in
+  match Memo.find_opt s.memo key with
+  | Some cell -> !cell
   | None ->
     (* break potential cycles defensively: memoize the direct form first,
-       then overwrite with the winner *)
-    PolyTbl.replace s.memo p (Expr.of_poly p);
-    let result = choose depth s p in
-    PolyTbl.replace s.memo p result;
+       then overwrite it with the winner *)
+    let direct = Expr.of_poly p in
+    let cell = ref direct in
+    Memo.add s.memo key cell;
+    let result = choose depth s p direct in
+    cell := result;
     result
 
-and choose depth s p =
-  if Poly.is_zero p || Poly.is_const p then Expr.of_poly p
+and choose depth s p direct =
+  if Poly.is_zero p || Poly.is_const p then direct
   else begin
     let deeper = decompose ~depth:(depth + 1) s in
     let reducible_by d =
@@ -100,7 +127,6 @@ and choose depth s p =
         (fun (c, m) -> Monomial.divides md m && Z.divides cd c)
         (Poly.terms p)
     in
-    let direct = Expr.of_poly p in
     let content_candidate =
       (* p = c * primitive_part p, c carrying the leading coefficient's sign *)
       let c = Poly.content p in
@@ -119,22 +145,27 @@ and choose depth s p =
     let structural_candidates =
       if depth >= max_depth then []
       else begin
-        let division_candidates =
-          List.filter_map
-            (fun d ->
-              (* no term of p reducible by lt(d): div_rem would return q = 0 *)
-              if not (reducible_by d) then None
-              else begin
-                let q, r = Poly.div_rem p d in
-                if Poly.is_zero q then None
-                else begin
-                  let dv = Blocktab.divisor_var s.table d in
-                  Some
-                    (Expr.add [ Expr.mul [ Expr.var dv; deeper q ]; deeper r ])
-                end
-              end)
-            s.divs
+        let division_candidate i d =
+          (* no term of p reducible by lt(d): div_rem would return q = 0 *)
+          if not (reducible_by d) then None
+          else begin
+            let q, r = Poly.div_rem p d in
+            if Poly.is_zero q then None
+            else begin
+              let dv = divisor_name s i d in
+              Some (Expr.add [ Expr.mul [ Expr.var dv; deeper q ]; deeper r ])
+            end
+          end
         in
+        (* in divisor order: each candidate's recursion may register blocks *)
+        let rec division_candidates i = function
+          | [] -> []
+          | d :: ds ->
+            (match division_candidate i d with
+             | Some c -> c :: division_candidates (i + 1) ds
+             | None -> division_candidates (i + 1) ds)
+        in
+        let division_candidates = division_candidates 0 s.divs in
         let cce_candidate =
           let r = Cce.extract p in
           match r.Cce.groups with

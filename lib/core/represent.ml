@@ -164,8 +164,10 @@ let build ?ctx ?max_blocks ?(pmap = List.map) polys =
      sub-expressions for them, which the DAG then merges *)
   let ted_manager = Ted.create ~order:ted_order () in
   let reps_of p =
-    (* a session per polynomial: the algebraic-division memo is a pure
-       compute cache, and a private one keeps the builder lock-free so
+    (* a session per polynomial: the algebraic-division memo is not a
+       pure cache (what a node finds in it depends on what the session
+       visited before, so its scope decides which decomposition wins;
+       see algdiv.ml), and a private one keeps the builder lock-free so
        [pmap] may process polynomials on separate domains *)
     let session = Algdiv.make_session table ~divisors in
     let exact label expr = Some { label; expr; semantics = Exact } in
@@ -228,3 +230,19 @@ let num_combinations t =
       let n = List.length reps in
       if acc > max_int / (max n 1) then max_int else acc * n)
     1 t.reps
+
+let dump t =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (v, e) -> Printf.bprintf buf "  %s := %s\n" v (Expr.to_string e))
+    (Blocktab.bindings t.table);
+  Array.iteri
+    (fun i reps ->
+      List.iter
+        (fun rep ->
+          Printf.bprintf buf "  [%d] %s %s: %s\n" i rep.label
+            (match rep.semantics with Exact -> "E" | ModRing -> "M")
+            (Expr.to_string rep.expr))
+        reps)
+    t.reps;
+  Buffer.contents buf

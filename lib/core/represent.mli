@@ -43,3 +43,10 @@ val build :
 
 val num_combinations : t -> int
 (** Product of the representation-list lengths (capped at [max_int]). *)
+
+val dump : t -> string
+(** Every block binding ["  d1 := ..."] in registration order, then one
+    line ["  [i] label S: expr"] per representation of polynomial [i],
+    with [S] = [E] (exact) or [M] (mod-ring).  Byte-stable: two builds
+    print the same dump exactly when they chose the same blocks and
+    representations. *)

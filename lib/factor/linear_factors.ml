@@ -1,23 +1,37 @@
 module Z = Polysynth_zint.Zint
 module Poly = Polysynth_poly.Poly
 
+(* Positive divisors of |z| by trial division up to sqrt |z|, each hit [i]
+   contributing [i] and [|z| / i].  Below 2^62 the loop runs on native
+   ints ([n / i >= i] is [i * i <= n] without overflow); a prime near
+   2^62 still costs about 2^31 divisions. *)
 let divisors z =
-  (* positive divisors of |z|, by trial division — coefficients are small *)
   let n = Z.abs z in
   if Z.is_zero n then [ Z.one ]
-  else begin
-    let out = ref [] in
-    let i = ref Z.one in
-    while Z.compare (Z.mul !i !i) n <= 0 do
-      if Z.divides !i n then begin
-        out := !i :: !out;
-        let q = Z.divexact n !i in
-        if not (Z.equal q !i) then out := q :: !out
-      end;
-      i := Z.add !i Z.one
-    done;
-    !out
-  end
+  else
+    match Z.to_int_opt n with
+    | Some n ->
+      let rec go i acc =
+        let q = n / i in
+        if q < i then acc
+        else if q * i <> n then go (i + 1) acc
+        else
+          let acc = Z.of_int i :: acc in
+          go (i + 1) (if q <> i then Z.of_int q :: acc else acc)
+      in
+      go 1 []
+    | None ->
+      let out = ref [] in
+      let i = ref Z.one in
+      while Z.compare (Z.mul !i !i) n <= 0 do
+        if Z.divides !i n then begin
+          out := !i :: !out;
+          let q = Z.divexact n !i in
+          if not (Z.equal q !i) then out := q :: !out
+        end;
+        i := Z.add !i Z.one
+      done;
+      !out
 
 let check_univariate v u =
   if Poly.is_zero u then invalid_arg "Linear_factors: zero polynomial";
@@ -67,13 +81,14 @@ let roots v u =
     | Some c -> const_coeff c
     | None -> Z.one
   in
+  let leading_divisors = divisors leading in
   let candidates =
     List.concat_map
       (fun b ->
         List.concat_map
           (fun a ->
             if Z.is_one (Z.gcd a b) then [ (b, a); (Z.neg b, a) ] else [])
-          (divisors leading))
+          leading_divisors)
       (divisors trailing)
   in
   let found =

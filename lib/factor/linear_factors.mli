@@ -11,6 +11,11 @@
 module Z := Polysynth_zint.Zint
 module Poly := Polysynth_poly.Poly
 
+val divisors : Z.t -> Z.t list
+(** The positive divisors of [|z|], each once, in no particular order;
+    [divisors zero = [one]].  Trial division up to [sqrt |z|], on native
+    ints below [2^62]. *)
+
 val roots : string -> Poly.t -> (Z.t * Z.t) list
 (** [roots v u] lists the rational roots [b/a] of [u] as univariate in [v]
     (requires the coefficients in [v] to be constants, i.e. [u] univariate;

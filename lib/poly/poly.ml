@@ -84,9 +84,13 @@ let vars p =
 
 let mentions v p = List.exists (fun (_, m) -> Monomial.mentions v m) p
 
-let equal (a : t) (b : t) =
-  try List.for_all2 (fun (c, m) (c', m') -> Z.equal c c' && Monomial.equal m m') a b
-  with Invalid_argument _ -> false
+let rec equal (a : t) (b : t) =
+  a == b
+  ||
+  match a, b with
+  | (c, m) :: ra, (c', m') :: rb ->
+    Z.equal c c' && Monomial.equal m m' && equal ra rb
+  | [], _ :: _ | _ :: _, [] | [], [] -> false
 
 let compare a b =
   let rec go a b =
@@ -130,7 +134,18 @@ let rec add a b =
       let c = Z.add ca cb in
       if Z.is_zero c then add ra rb else (c, ma) :: add ra rb
 
-let sub a b = add a (neg b)
+(* [add a (neg b)] without the intermediate negated list *)
+let rec sub a b =
+  match a, b with
+  | p, [] -> p
+  | [], _ -> neg b
+  | (ca, ma) :: ra, (cb, mb) :: rb ->
+    let cmp = Monomial.compare ma mb in
+    if cmp > 0 then (ca, ma) :: sub ra b
+    else if cmp < 0 then (Z.neg cb, mb) :: sub a rb
+    else
+      let c = Z.sub ca cb in
+      if Z.is_zero c then sub ra rb else (c, ma) :: sub ra rb
 
 let mul_term c m p =
   if Z.is_zero c then zero
@@ -155,25 +170,44 @@ let pow p e =
 
 let add_list ps = List.fold_left add zero ps
 
+(* [sub r (mul_term cq mq b)] in one merge; [b]'s terms scaled by
+   [cq * mq] stay in decreasing order *)
+let rec sub_scaled r cq mq b =
+  match r, b with
+  | r, [] -> r
+  | [], (cb, mb) :: rb ->
+    (Z.neg (Z.mul cq cb), Monomial.mul mq mb) :: sub_scaled [] cq mq rb
+  | (cr, mr) :: rr, (cb, mb) :: rb ->
+    let m = Monomial.mul mq mb in
+    let cmp = Monomial.compare mr m in
+    if cmp > 0 then (cr, mr) :: sub_scaled rr cq mq b
+    else if cmp < 0 then (Z.neg (Z.mul cq cb), m) :: sub_scaled r cq mq rb
+    else
+      let c = Z.sub cr (Z.mul cq cb) in
+      if Z.is_zero c then sub_scaled rr cq mq rb
+      else (c, mr) :: sub_scaled rr cq mq rb
+
 let div_rem a b =
   if is_zero b then raise Division_by_zero;
   let cb, mb = leading b in
-  let rec go q r =
+  (* Quotient terms are found in strictly decreasing order (each one
+     cancels the current leading term of [r], which only decreases), so
+     they accumulate reversed and are reversed once. *)
+  let rec go qrev r =
     match r with
-    | [] -> (q, r)
-    | (cr, mr) :: _ ->
+    | [] -> (List.rev qrev, r)
+    | (cr, mr) :: rrest ->
       (match Monomial.div mr mb with
        | Some mq when Z.divides cb cr ->
          let cq = Z.divexact cr cb in
-         let t = term cq mq in
-         go (add q t) (sub r (mul_term cq mq b))
+         go ((cq, mq) :: qrev) (sub_scaled r cq mq b)
        | Some _ | None ->
          (* move the irreducible leading term into the remainder and keep
             dividing what is left *)
-         let qrest, rrest = go q (List.tl r) in
-         (qrest, (cr, mr) :: rrest))
+         let q, rrest = go qrev rrest in
+         (q, (cr, mr) :: rrest))
   in
-  go zero a
+  go [] a
 
 let div_exact a b =
   if is_zero b then None

@@ -79,3 +79,28 @@ let generate ~seed cfg =
     if cfg.sharing then List.init 2 (fun _ -> random_linear rng cfg) else []
   in
   List.init cfg.num_polys (fun _ -> random_poly rng cfg pool)
+
+let grid ~seed =
+  List.concat_map
+    (fun num_vars ->
+      List.concat_map
+        (fun max_degree ->
+          List.map
+            (fun num_polys ->
+              let cfg =
+                {
+                  default_config with
+                  num_polys;
+                  num_vars;
+                  max_degree;
+                  sharing = true;
+                }
+              in
+              let cell_seed =
+                (seed * 1000) + (100 * num_vars) + (10 * max_degree) + num_polys
+              in
+              ( Printf.sprintf "rand v%d d%d p%d" num_vars max_degree num_polys,
+                generate ~seed:cell_seed cfg ))
+            [ 3; 4; 5; 6; 7; 8 ])
+        [ 2; 3 ])
+    [ 2; 3 ]

@@ -18,3 +18,11 @@ type config = {
 val default_config : config
 
 val generate : seed:int -> config -> Poly.t list
+
+val grid : seed:int -> (string * Poly.t list) list
+(** One system per cell of (2..3 variables) x (degree 2..3) x (3..8
+    polynomials), in that nesting order, all with shared linear blocks and
+    the default term and coefficient bounds.  A cell's seed is
+    [seed * 1000 + 100 * vars + 10 * degree + polys], and its name is
+    ["rand v<vars> d<degree> p<polys>"].  With [seed = 2009] this is the
+    benchmark's [random_mix] corpus. *)

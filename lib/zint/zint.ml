@@ -1,72 +1,103 @@
-(* Sign-magnitude bignums.  [mag] is little-endian in base 2^30 with no
-   leading (high-order) zero limb; [sign] is 0 exactly when [mag] is empty. *)
+(* Two representations behind one abstract type.  A value v with
+   |v| < 2^60 is the immediate native int v itself; any other value is a
+   pointer to an immutable [big] record: sign-magnitude, [mag]
+   little-endian in base 2^30 with no high-order zero limb, hence at least
+   three limbs.  Which form a value takes depends on the value alone, so
+   the representation is canonical: structural equality is value
+   equality.  Both forms are valid OCaml values (a tagged int or a
+   pointer to an ordinary block), so the collector never sees anything
+   unusual.
+
+   The bound 2^60 keeps the native fast paths overflow-free: a sum or
+   difference of two immediates is below 2^61, and a product of two
+   values below 2^31 is below 2^62.  Everything else widens both operands
+   to [big] and runs the limb code, whose results [normalize] turns back
+   into the canonical form. *)
 
 let base_bits = 30
 let base = 1 lsl base_bits
 let base_mask = base - 1
+let small_limit = 1 lsl (2 * base_bits)
 
-type t = { sign : int; mag : int array }
+type big = { sign : int; mag : int array }
 
-let zero = { sign = 0; mag = [||] }
+type t = Obj.t
 
+let is_imm : t -> bool = Obj.is_int
+let imm (z : t) : int = Obj.obj z
+let of_imm (n : int) : t = Obj.repr n
+let big (z : t) : big = Obj.obj z
+let of_big (b : big) : t = Obj.repr b
+
+let fits n = n > -small_limit && n < small_limit
+
+let zero = of_imm 0
+let one = of_imm 1
+let two = of_imm 2
+let minus_one = of_imm (-1)
+
+(* the limb form of an immediate: at most two limbs *)
+let big_of_imm n =
+  if n = 0 then { sign = 0; mag = [||] }
+  else begin
+    let sign = if n < 0 then -1 else 1 in
+    let m = Stdlib.abs n in
+    let mag =
+      if m < base then [| m |] else [| m land base_mask; m lsr base_bits |]
+    in
+    { sign; mag }
+  end
+
+let to_big z = if is_imm z then big_of_imm (imm z) else big z
+
+(* the canonical value of [sign] times [mag], which may carry high-order
+   zero limbs *)
 let normalize sign mag =
   let n = Array.length mag in
   let rec top i = if i >= 0 && mag.(i) = 0 then top (i - 1) else i in
   let hi = top (n - 1) in
   if hi < 0 then zero
-  else if hi = n - 1 then { sign; mag }
-  else { sign; mag = Array.sub mag 0 (hi + 1) }
-
-(* Word-size fast path.  A value whose magnitude has at most two limbs
-   (below 2^60) is read as a native int; results computed natively are
-   packed back into the same normalized limb array the limb code would
-   build, so [compare], [equal] and [hash] cannot tell the paths apart. *)
-
-let is_small z = Array.length z.mag <= 2
-
-let to_small z =
-  match z.mag with
-  | [||] -> 0
-  | [| d0 |] -> z.sign * d0
-  | m -> z.sign * (m.(0) lor (m.(1) lsl base_bits))
-
-(* [n] must not be [min_int]: its magnitude has no positive native form.
-   Any other native value packs into at most three limbs. *)
-let of_small n =
-  if n = 0 then zero
-  else begin
-    let sign = if n < 0 then -1 else 1 in
-    let m = Stdlib.abs n in
-    let mag =
-      if m < base then [| m |]
-      else if m lsr (2 * base_bits) = 0 then
-        [| m land base_mask; m lsr base_bits |]
-      else
-        [| m land base_mask; (m lsr base_bits) land base_mask;
-           m lsr (2 * base_bits) |]
-    in
-    { sign; mag }
-  end
+  else if hi = 0 then of_imm (sign * mag.(0))
+  else if hi = 1 then of_imm (sign * (mag.(0) lor (mag.(1) lsl base_bits)))
+  else if hi = n - 1 then of_big { sign; mag }
+  else of_big { sign; mag = Array.sub mag 0 (hi + 1) }
 
 let of_int n =
-  if n = Stdlib.min_int then
-    { sign = -1; mag = [| 0; 0; 1 lsl (Sys.int_size - 1 - (2 * base_bits)) |] }
-  else of_small n
+  if fits n then of_imm n
+  else if n = Stdlib.min_int then
+    of_big
+      { sign = -1; mag = [| 0; 0; 1 lsl (Sys.int_size - 1 - (2 * base_bits)) |] }
+  else begin
+    (* 2^60 <= |n| < 2^62: exactly three limbs *)
+    let m = Stdlib.abs n in
+    of_big
+      {
+        sign = (if n < 0 then -1 else 1);
+        mag =
+          [| m land base_mask; (m lsr base_bits) land base_mask;
+             m lsr (2 * base_bits) |];
+      }
+  end
 
-let one = of_int 1
-let two = of_int 2
-let minus_one = of_int (-1)
+let sign z = if is_imm z then Int.compare (imm z) 0 else (big z).sign
+let is_zero z = z == zero
+let is_one z = z == one
+let is_negative z = if is_imm z then imm z < 0 else (big z).sign < 0
 
-let sign z = z.sign
-let is_zero z = z.sign = 0
-let is_negative z = z.sign < 0
+let is_even z =
+  if is_imm z then imm z land 1 = 0 else (big z).mag.(0) land 1 = 0
 
-let is_one z = z.sign = 1 && Array.length z.mag = 1 && z.mag.(0) = 1
+let neg z =
+  if is_imm z then of_imm (-imm z)
+  else
+    let b = big z in
+    of_big { b with sign = -b.sign }
 
-let is_even z = z.sign = 0 || z.mag.(0) land 1 = 0
-
-let neg z = if z.sign = 0 then z else { z with sign = -z.sign }
-let abs z = if z.sign < 0 then { z with sign = 1 } else z
+let abs z =
+  if is_imm z then of_imm (Stdlib.abs (imm z))
+  else
+    let b = big z in
+    if b.sign < 0 then of_big { b with sign = 1 } else z
 
 let compare_mag a b =
   let la = Array.length a and lb = Array.length b in
@@ -79,15 +110,41 @@ let compare_mag a b =
     in
     go (la - 1)
 
-let compare a b =
+let compare_big a b =
   if a.sign <> b.sign then compare a.sign b.sign
   else if a.sign >= 0 then compare_mag a.mag b.mag
   else compare_mag b.mag a.mag
 
-let equal a b = compare a b = 0
+(* an immediate lies strictly between the negative and the positive
+   big values *)
+let compare a b =
+  if is_imm a then
+    if is_imm b then Int.compare (imm a) (imm b) else -(big b).sign
+  else if is_imm b then (big a).sign
+  else compare_big (big a) (big b)
+
+let equal a b =
+  a == b
+  || ((not (is_imm a)) && (not (is_imm b)) && compare_big (big a) (big b) = 0)
+
+(* The base-2^30 limb fold, seeded with sign + 2.  For an immediate it is
+   computed from the int's at most two limbs without building them, so
+   every value hashes as it did when all values were limb records. *)
+let hash_step acc d = ((acc * 65599) + d) land max_int
 
 let hash z =
-  Array.fold_left (fun acc d -> (acc * 65599 + d) land max_int) (z.sign + 2) z.mag
+  if is_imm z then begin
+    let n = imm z in
+    if n = 0 then 2
+    else
+      let acc = if n < 0 then 1 else 3 in
+      let m = Stdlib.abs n in
+      if m < base then hash_step acc m
+      else hash_step (hash_step acc (m land base_mask)) (m lsr base_bits)
+  end
+  else
+    let b = big z in
+    Array.fold_left hash_step (b.sign + 2) b.mag
 
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
@@ -120,19 +177,23 @@ let sub_mag a b =
   assert (!borrow = 0);
   r
 
-let add a b =
-  if a.sign = 0 then b
-  else if b.sign = 0 then a
-  (* two 2-limb magnitudes sum below 2^61: [of_small] may need a third limb *)
-  else if is_small a && is_small b then of_small (to_small a + to_small b)
-  else if a.sign = b.sign then normalize a.sign (add_mag a.mag b.mag)
+(* limb addition of two non-zero values *)
+let add_big a b =
+  if a.sign = b.sign then normalize a.sign (add_mag a.mag b.mag)
   else
     let c = compare_mag a.mag b.mag in
     if c = 0 then zero
     else if c > 0 then normalize a.sign (sub_mag a.mag b.mag)
     else normalize b.sign (sub_mag b.mag a.mag)
 
-let sub a b = add a (neg b)
+let add a b =
+  if is_imm a && is_imm b then of_int (imm a + imm b)
+  else if is_zero a then b
+  else if is_zero b then a
+  else add_big (to_big a) (to_big b)
+
+let sub a b =
+  if is_imm a && is_imm b then of_int (imm a - imm b) else add a (neg b)
 
 let mul_mag a b =
   let la = Array.length a and lb = Array.length b in
@@ -156,22 +217,31 @@ let mul_mag a b =
   done;
   r
 
+let native_mul_bound = 1 lsl (base_bits + 1)
+
 let mul a b =
-  if a.sign = 0 || b.sign = 0 then zero
-  else if Array.length a.mag = 1 && Array.length b.mag = 1 then
-    of_small (to_small a * to_small b)
-  else normalize (a.sign * b.sign) (mul_mag a.mag b.mag)
+  if is_zero a || is_zero b then zero
+  else if
+    is_imm a && is_imm b
+    && Stdlib.abs (imm a) < native_mul_bound
+    && Stdlib.abs (imm b) < native_mul_bound
+  then of_int (imm a * imm b)
+  else
+    let a = to_big a and b = to_big b in
+    normalize (a.sign * b.sign) (mul_mag a.mag b.mag)
 
 let mul_int a n = mul a (of_int n)
 
+let bits_of_int v =
+  let rec go v acc = if v = 0 then acc else go (v lsr 1) (acc + 1) in
+  go v 0
+
+let num_bits_mag mag =
+  let n = Array.length mag in
+  if n = 0 then 0 else ((n - 1) * base_bits) + bits_of_int mag.(n - 1)
+
 let num_bits z =
-  let n = Array.length z.mag in
-  if n = 0 then 0
-  else begin
-    let top = z.mag.(n - 1) in
-    let rec bits v acc = if v = 0 then acc else bits (v lsr 1) (acc + 1) in
-    ((n - 1) * base_bits) + bits top 0
-  end
+  if is_imm z then bits_of_int (Stdlib.abs (imm z)) else num_bits_mag (big z).mag
 
 let bit_at mag i =
   let limb = i / base_bits and off = i mod base_bits in
@@ -180,10 +250,10 @@ let bit_at mag i =
 (* Magnitude division by binary long division: simple and adequate for the
    moderate operand sizes arising in polynomial synthesis. *)
 let divmod_mag a b =
-  let nb = num_bits { sign = 1; mag = a } in
+  let nb = num_bits_mag a in
   let q = Array.make (Array.length a) 0 in
   let r = ref zero in
-  let bz = { sign = 1; mag = b } in
+  let bz = normalize 1 b in
   for i = nb - 1 downto 0 do
     (* r := 2r + bit i of a *)
     let doubled = add !r !r in
@@ -198,29 +268,37 @@ let divmod_mag a b =
   done;
   (normalize 1 q, !r)
 
-let divmod a b =
-  if b.sign = 0 then raise Division_by_zero;
-  if a.sign = 0 then (zero, zero)
-  else if is_small a && is_small b then begin
-    (* native [/] and [mod] truncate toward zero, as specified below *)
-    let x = to_small a and y = to_small b in
-    (of_small (x / y), of_small (x mod y))
-  end
-  else if compare_mag a.mag b.mag < 0 then (zero, a)
+(* division of non-zero values, at least one of them big *)
+let divmod_big a b =
+  let ab = to_big a and bb = to_big b in
+  if compare_mag ab.mag bb.mag < 0 then (zero, a)
   else begin
-    let q, r = divmod_mag a.mag b.mag in
-    let q = if a.sign * b.sign < 0 then neg q else q in
-    let r = if a.sign < 0 then neg r else r in
+    let q, r = divmod_mag ab.mag bb.mag in
+    let q = if ab.sign * bb.sign < 0 then neg q else q in
+    let r = if ab.sign < 0 then neg r else r in
     (q, r)
   end
 
-let div a b = fst (divmod a b)
-let rem a b = snd (divmod a b)
+(* native [/] and [mod] truncate toward zero, as specified; on immediates
+   their results are immediates again *)
+let divmod a b =
+  if is_zero b then raise Division_by_zero;
+  if is_imm a && is_imm b then (of_imm (imm a / imm b), of_imm (imm a mod imm b))
+  else if is_zero a then (zero, zero)
+  else divmod_big a b
+
+let div a b =
+  if is_imm a && is_imm b && not (is_zero b) then of_imm (imm a / imm b)
+  else fst (divmod a b)
+
+let rem a b =
+  if is_imm a && is_imm b && not (is_zero b) then of_imm (imm a mod imm b)
+  else snd (divmod a b)
 
 let ediv_rem a b =
   let q, r = divmod a b in
-  if r.sign >= 0 then (q, r)
-  else if b.sign > 0 then (sub q one, add r b)
+  if sign r >= 0 then (q, r)
+  else if sign b > 0 then (sub q one, add r b)
   else (add q one, sub r b)
 
 let divexact a b =
@@ -235,8 +313,7 @@ let gcd a b =
   let rec native x y = if y = 0 then x else native y (x mod y) in
   let rec go a b =
     if is_zero b then a
-    else if is_small a && is_small b then
-      of_small (native (to_small a) (to_small b))
+    else if is_imm a && is_imm b then of_imm (native (imm a) (imm b))
     else go b (rem a b)
   in
   go (abs a) (abs b)
@@ -255,40 +332,50 @@ let pow z e =
 
 let pow2 m =
   if m < 0 then invalid_arg "Zint.pow2: negative exponent";
-  pow two m
+  if m < 2 * base_bits then of_imm (1 lsl m) else pow two m
 
 let factorial n =
   if n < 0 then invalid_arg "Zint.factorial: negative input";
   let rec go acc k = if k > n then acc else go (mul_int acc k) (k + 1) in
   go one 1
 
+let trailing_zeros v =
+  let rec go v acc = if v land 1 = 1 then acc else go (v lsr 1) (acc + 1) in
+  go v 0
+
 let val2 z =
   if is_zero z then invalid_arg "Zint.val2: zero";
-  let rec limb i = if z.mag.(i) = 0 then limb (i + 1) else i in
-  let i = limb 0 in
-  let rec bit v acc = if v land 1 = 1 then acc else bit (v lsr 1) (acc + 1) in
-  (i * base_bits) + bit z.mag.(i) 0
+  if is_imm z then trailing_zeros (imm z)
+  else begin
+    let mag = (big z).mag in
+    let rec limb i = if mag.(i) = 0 then limb (i + 1) else i in
+    let i = limb 0 in
+    (i * base_bits) + trailing_zeros mag.(i)
+  end
 
 let erem_pow2 z m = snd (ediv_rem z (pow2 m))
 
 let to_int_opt z =
-  (* Magnitudes up to 2^62 - 1 always fit; min_int (magnitude exactly 2^62,
-     negative sign) is the single 63-bit value that also fits. *)
-  let bits = num_bits z in
-  if bits <= 62 then begin
-    let v =
-      Array.fold_right (fun d acc -> (acc lsl base_bits) lor d) z.mag 0
-    in
-    Some (if z.sign < 0 then -v else v)
+  if is_imm z then Some (imm z)
+  else begin
+    (* Magnitudes up to 2^62 - 1 always fit; min_int (magnitude exactly
+       2^62, negative sign) is the single 63-bit value that also fits. *)
+    let b = big z in
+    let bits = num_bits_mag b.mag in
+    let last = Array.length b.mag - 1 in
+    if bits <= 62 then begin
+      let v = Array.fold_right (fun d acc -> (acc lsl base_bits) lor d) b.mag 0 in
+      Some (if b.sign < 0 then -v else v)
+    end
+    else if bits = 63 && b.sign < 0 then begin
+      let is_pow2_62 =
+        Array.for_all (fun d -> d = 0) (Array.sub b.mag 0 last)
+        && b.mag.(last) = 1 lsl (62 - (last * base_bits))
+      in
+      if is_pow2_62 then Some Stdlib.min_int else None
+    end
+    else None
   end
-  else if bits = 63 && z.sign < 0 then begin
-    let is_pow2_62 =
-      Array.for_all (fun d -> d = 0) (Array.sub z.mag 0 (Array.length z.mag - 1))
-      && z.mag.(Array.length z.mag - 1) = 1 lsl (62 - (Array.length z.mag - 1) * base_bits)
-    in
-    if is_pow2_62 then Some Stdlib.min_int else None
-  end
-  else None
 
 let to_int_exn z =
   match to_int_opt z with
@@ -298,7 +385,7 @@ let to_int_exn z =
 let billion = of_int 1_000_000_000
 
 let to_string z =
-  if is_zero z then "0"
+  if is_imm z then string_of_int (imm z)
   else begin
     let buf = Buffer.create 32 in
     let rec chunks acc v =
@@ -310,7 +397,7 @@ let to_string z =
     match chunks [] (abs z) with
     | [] -> assert false
     | first :: rest ->
-      if z.sign < 0 then Buffer.add_char buf '-';
+      if is_negative z then Buffer.add_char buf '-';
       Buffer.add_string buf (string_of_int first);
       List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%09d" c)) rest;
       Buffer.contents buf

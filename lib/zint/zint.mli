@@ -3,21 +3,31 @@
     The canonical-form and factorization algorithms of the synthesis flow
     manipulate constants such as [2^m], [lambda!] and scaled filter
     coefficients exactly; native [int] overflows for realistic bit-widths, so
-    this module provides a self-contained bignum implementation
-    (sign-magnitude, base [2^30] limbs).
+    this module provides a self-contained bignum implementation.  All
+    values are immutable.
 
-    All values are immutable.  [compare], [equal] and [hash] are structural
-    and consistent with each other.
+    Representation.  A value [v] with [|v| < 2^60] is stored as the
+    immediate native [int] [v]; only larger values are boxed, as a
+    sign-magnitude record of base-[2^30] limbs (at least three of them).
+    The choice depends on the value alone, so every value has exactly one
+    representation: [equal a b] holds exactly when [a = b] structurally.
+    Polymorphic [compare] does not give numeric order (an immediate sorts
+    before any boxed value); use {!compare}.
 
-    Word-size fast path: when both operands of [add] ([sub]) or of
-    [divmod] (and so [div], [rem], [divides], [divexact], [ediv_rem]) have
-    magnitude below [2^60] (at most two limbs), when both factors of [mul]
-    are below [2^30] (one limb), and whenever [gcd]'s Euclid loop reaches
-    two such values, the operation runs on native [int]s.  Its result is
-    packed back into the same normalized limb array the limb code
-    produces (a sum of two two-limb values may need a third limb), so the
-    two paths are indistinguishable to [compare], [equal] and [hash].
-    Larger operands use the limb code. *)
+    Arithmetic on two immediates runs natively and, for [add], [sub],
+    [divmod] (and so [div], [rem], [divides], [divexact], [ediv_rem]),
+    [gcd], [compare], [equal], [hash] and [to_string], allocates nothing
+    beyond its result.  [mul] takes the native path when both factors are
+    below [2^31].  A native result of [2^60] or more leaves the immediate
+    range through the limb record; any other operation widens its
+    operands to limbs and runs the limb code.
+
+    [hash] is the fold of the base-[2^30] limbs, seeded with the sign, for
+    every value: for an immediate it is computed from the int directly.
+    It therefore returns the same value it did when every value was a
+    limb record, so hash tables keyed by these hashes bucket, and iterate,
+    exactly as before.  [compare], [equal] and [hash] are consistent with
+    each other. *)
 
 type t
 

@@ -220,6 +220,53 @@ let test_linear_factors_multiplicity () =
    | _ -> Alcotest.fail "expected (x-1)^3");
   check_p "rest is 1" P.one rest
 
+(* (c*x - 1)(x + 3) with c = 1125899906842597, a prime near 2^50: the
+   leading coefficient's divisors need 2^25 trial divisions, which must run
+   natively (on Zint limbs this took 18 s) *)
+let test_roots_large_prime () =
+  let c = Z.of_string "1125899906842597" in
+  let u = P.mul (P.sub (P.mul_scalar c (P.var "x")) P.one) (p "x + 3") in
+  let rs = LF.roots "x" u in
+  let has (b, a) = List.exists (fun (b', a') -> Z.equal b b' && Z.equal a a') rs in
+  Alcotest.(check bool) "root 1/c" true (has (Z.one, c));
+  Alcotest.(check bool) "root -3" true (has (Z.of_int (-3), Z.one));
+  Alcotest.(check int) "exactly two" 2 (List.length rs)
+
+(* the trial division on Zint operations that the native loop replaces *)
+let zint_divisors z =
+  let n = Z.abs z in
+  if Z.is_zero n then [ Z.one ]
+  else begin
+    let out = ref [] in
+    let i = ref Z.one in
+    while Z.compare (Z.mul !i !i) n <= 0 do
+      if Z.divides !i n then begin
+        out := !i :: !out;
+        let q = Z.divexact n !i in
+        if not (Z.equal q !i) then out := q :: !out
+      end;
+      i := Z.add !i Z.one
+    done;
+    !out
+  end
+
+let prop_divisors_native_match_zint =
+  let boundary =
+    [ 0; 1; -1; 2; 4; 9; 1021 * 1021; 1 lsl 20; (1 lsl 20) - 1; -(1 lsl 20);
+      1_000_003; 65537 * 65537; -(65536 * 65537); 2 * 3 * 5 * 7 * 11 * 13 * 17 ]
+  in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [ (3, int_range (-(1 lsl 20)) (1 lsl 20)); (1, oneofl boundary) ])
+  in
+  prop "native divisors = Zint trial division" ~count:300
+    (QCheck.make gen ~print:string_of_int)
+    (fun n ->
+      let sorted l = List.sort Z.compare l in
+      let z = Z.of_int n in
+      List.equal Z.equal (sorted (LF.divisors z)) (sorted (zint_divisors z)))
+
 (* full factorization ------------------------------------------------------------- *)
 
 module Fp = Polysynth_factor.Fp_poly
@@ -573,6 +620,8 @@ let () =
           Alcotest.test_case "invalid input" `Quick test_roots_invalid;
           Alcotest.test_case "reconstruct" `Quick test_linear_factors_reconstruct;
           Alcotest.test_case "multiplicity" `Quick test_linear_factors_multiplicity;
+          Alcotest.test_case "prime near 2^50" `Quick test_roots_large_prime;
+          prop_divisors_native_match_zint;
         ] );
       ( "factorize",
         [

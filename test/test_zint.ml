@@ -236,6 +236,31 @@ let test_integer_root_boundaries () =
       (Z.of_int ((1 lsl 20) + 3), 3); (Z.pow2 20, 3); (Z.of_int 4093, 5);
       (Z.of_int 379, 7); (Z.of_int ((1 lsl 30) + 1), 3); (Z.of_int 3, 37) ]
 
+(* Z.hash must not depend on the representation: these values were
+   rendered when every value was a base-2^30 limb record, so hash tables
+   keyed by Z.hash (through Poly.hash) bucket exactly as they did then. *)
+let test_hash_pinned () =
+  let p2 = Z.pow2 in
+  List.iter
+    (fun (name, v, h) -> Alcotest.(check int) name h (Z.hash v))
+    [ ("0", Z.zero, 2);
+      ("1", Z.one, 196798);
+      ("-1", Z.minus_one, 65600);
+      ("2^30-1", Z.sub (p2 30) Z.one, 1073938620);
+      ("-(2^30-1)", Z.neg (Z.sub (p2 30) Z.one), 1073807422);
+      ("2^30", p2 30, 12909686404);
+      ("-2^30", Z.neg (p2 30), 4303228802);
+      ("2^60-1", Z.sub (p2 60) Z.one, 70450373275203);
+      ("-(2^60-1)", Z.neg (Z.sub (p2 60) Z.one), 70441766817601);
+      ("2^60", p2 60, 846862518350398);
+      ("-2^60", Z.neg (p2 60), 282287506116800);
+      ("2^60+1", Z.add (p2 60) Z.one, 846866821579199);
+      ("-(2^60+1)", Z.neg (Z.add (p2 60) Z.one), 282291809345601);
+      ("max_int", Z.of_int max_int, 9788018052653696);
+      ("min_int", Z.of_int min_int, 282287506116803);
+      ("2^90", p2 90, 213102120139037956);
+      ("-2^90", Z.neg (p2 90), 71034040046345986) ]
+
 (* properties --------------------------------------------------------------- *)
 
 let prop_add_commutes =
@@ -348,6 +373,19 @@ let prop_native_roundtrip =
       | Some n -> same a (Z.of_int n)
       | None -> Z.num_bits a >= 63)
 
+(* Every value has one representation, whichever path computed it (the
+   native one, the limb code, a sum crossing 2^60 and back), so
+   structural equality is value equality. *)
+let prop_canonical =
+  prop "equal is structural equality" ~count:1000
+    QCheck.(pair arb_zint arb_zint)
+    (fun (a, b) ->
+      let via_limbs = Z.div (scaled a) big_scale in
+      let via_sum = Z.sub (Z.add a b) b in
+      via_limbs = a && via_sum = a
+      && Z.equal a b = (a = b)
+      && Z.equal a via_sum = (a = via_sum))
+
 let () =
   Alcotest.run "zint"
     [
@@ -374,6 +412,7 @@ let () =
             test_limb_carry_roundtrip;
           Alcotest.test_case "integer_root at limb boundaries" `Quick
             test_integer_root_boundaries;
+          Alcotest.test_case "hash pinned" `Quick test_hash_pinned;
         ] );
       ( "properties",
         [
@@ -390,6 +429,7 @@ let () =
           prop_compare_total_order;
           prop_hash_consistent;
           prop_num_bits_bound;
+          prop_canonical;
         ] );
       ( "fast path",
         [
