@@ -22,10 +22,15 @@
 #                systems (ring on and off) to _build/represent_dump.txt;
 #                cmp it against the same file from another commit to show a
 #                change leaves every decomposition byte-identical
+#   make represent-check
+#                run represent-dump and compare the md5 of its output with
+#                test/data/represent_dump.md5; a change that moves a
+#                decomposition on purpose updates that file and says why
 
-.PHONY: ci build test fmt lint fuzz bench bench-json represent-dump
+.PHONY: ci build test fmt lint fuzz bench bench-json represent-dump \
+  represent-check
 
-ci: build test fmt lint fuzz bench bench-json
+ci: build test fmt lint fuzz bench bench-json represent-check
 
 lint:
 	dune exec bin/polysynth.exe -- --benchmark all --check --lint --simplify
@@ -62,3 +67,12 @@ bench-json:
 represent-dump:
 	mkdir -p _build
 	dune exec bench/represent_dump.exe > _build/represent_dump.txt
+
+represent-check: represent-dump
+	@expected=$$(cat test/data/represent_dump.md5); \
+	actual=$$(md5sum < _build/represent_dump.txt | cut -d' ' -f1); \
+	if [ "$$actual" = "$$expected" ]; then \
+	  echo "represent-check: ok ($$actual)"; \
+	else \
+	  echo "represent-check: md5 $$actual, expected $$expected"; exit 1; \
+	fi

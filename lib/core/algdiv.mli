@@ -12,7 +12,16 @@
     - co-kernel factoring [c * K + rest] with [K] decomposed recursively.
 
     Divisors used by the chosen form are registered in the block table and
-    appear as variables in the result. *)
+    appear as variables in the result.
+
+    Candidates are compared on exact cost shapes
+    ({!Polysynth_expr.Shape}), not on built expressions: a visit computes
+    each candidate's shape from its operands' shapes and keeps the first
+    of least cost, and only the winners the result reaches are built,
+    once, when [decompose] returns.  (The perfect-power candidate is the
+    exception: it is built when found, because naming its root registers
+    a block.)  The result is the expression the build-every-candidate
+    recursion returns, byte for byte. *)
 
 module Poly := Polysynth_poly.Poly
 module Expr := Polysynth_expr.Expr

@@ -167,8 +167,10 @@ let build ?ctx ?max_blocks ?(pmap = List.map) polys =
     (* a session per polynomial: the algebraic-division memo is not a
        pure cache (what a node finds in it depends on what the session
        visited before, so its scope decides which decomposition wins;
-       see algdiv.ml), and a private one keeps the builder lock-free so
-       [pmap] may process polynomials on separate domains *)
+       see algdiv.ml).  A private memo, with its lazily built forms, is
+       what lets [pmap] process polynomials on separate domains; the
+       sessions still share the [Blocktab], whose [divisor_var] takes a
+       lock *)
     let session = Algdiv.make_session table ~divisors in
     let exact label expr = Some { label; expr; semantics = Exact } in
     let candidates =

@@ -2,7 +2,7 @@ module Z = Polysynth_zint.Zint
 module Poly = Polysynth_poly.Poly
 module Monomial = Polysynth_poly.Monomial
 module Expr = Polysynth_expr.Expr
-module Dag = Polysynth_expr.Dag
+module Shape = Polysynth_expr.Shape
 module Prog = Polysynth_expr.Prog
 
 type mode = Coeff_literals | Vars_only
@@ -92,7 +92,7 @@ let body_ops_key : (int * int Ptbl.t) ref Domain.DLS.key =
 
 let body_ops body =
   if not (Atomic.get cost_memo_on) then
-    Dag.total_ops (Dag.tree_counts (Expr.of_poly body))
+    Shape.cost (Shape.direct body)
   else
   let slot = Domain.DLS.get body_ops_key in
   let epoch = Atomic.get cost_memo_epoch in
@@ -111,7 +111,7 @@ let body_ops body =
     n
   | None ->
     Atomic.incr cost_memo_misses;
-    let n = Dag.total_ops (Dag.tree_counts (Expr.of_poly body)) in
+    let n = Shape.cost (Shape.direct body) in
     if Ptbl.length tbl > 65536 then Ptbl.reset tbl;
     Ptbl.add tbl body n;
     n

@@ -1,8 +1,7 @@
 module Z = Polysynth_zint.Zint
 module Poly = Polysynth_poly.Poly
 module Monomial = Polysynth_poly.Monomial
-module Expr = Polysynth_expr.Expr
-module Dag = Polysynth_expr.Dag
+module Shape = Polysynth_expr.Shape
 
 module IntSet = Set.Make (Int)
 
@@ -90,7 +89,7 @@ let rectangle_of_cols t cols =
 
 let value_of t rows cols =
   let body = body_of_cols t cols in
-  let ops = Dag.total_ops (Dag.tree_counts (Expr.of_poly body)) in
+  let ops = Shape.cost (Shape.direct body) in
   (List.length rows - 1) * ops
 
 let prime_rectangles ?(max_rectangles = 64) t =

@@ -130,35 +130,33 @@ let divide_cube p c =
            | None -> None)
          (Poly.terms p))
 
+let compare_pair (c1, k1) (c2, k2) =
+  let c = Monomial.compare c1 c2 in
+  if c <> 0 then c else Poly.compare k1 k2
+
 module PolySet = Set.Make (struct
   type t = Monomial.t * Poly.t
 
-  let compare (c1, k1) (c2, k2) =
-    let c = Monomial.compare c1 c2 in
-    if c <> 0 then c else Poly.compare k1 k2
+  let compare = compare_pair
 end)
 
-(* Recursive kernelling.  [vars] is the indexed literal order; at level
+(* Recursive kernelling: [consider cokernel kernel] sees every pair the
+   recursion reaches whose kernel has at least two terms (a pair may be
+   reached more than once).  [vars] is the indexed literal order; at level
    [j] only literals of index >= j are divided out, and a candidate whose
    extracted cube re-introduces an earlier literal is skipped because the
    same kernel was already produced along that literal's branch. *)
 module Symtab = Polysynth_poly.Symtab
 
-let kernels_raw p =
-  if Poly.is_zero p then []
-  else begin
+let explore_kernels p consider =
+  if not (Poly.is_zero p) then begin
     (* the indexed literal order, as pre-interned ids: the recursion only
        touches integers from here on *)
     let vars = Array.of_list (List.map Symtab.intern (Poly.vars p)) in
     let index = Array.make (Symtab.size ()) max_int in
     Array.iteri (fun i id -> index.(id) <- i) vars;
-    let acc = ref PolySet.empty in
-    let consider cokernel kernel =
-      if Poly.num_terms kernel >= 2 then
-        acc := PolySet.add (cokernel, kernel) !acc
-    in
     let rec explore j cokernel pol =
-      consider cokernel pol;
+      if Poly.num_terms pol >= 2 then consider cokernel pol;
       Array.iteri
         (fun k id ->
           if k >= j then begin
@@ -187,9 +185,30 @@ let kernels_raw p =
     in
     let c0 = largest_cube_raw p in
     let p0 = divide_cube p c0 in
-    explore 0 c0 p0;
-    PolySet.elements !acc
+    explore 0 c0 p0
   end
+
+let kernels_raw p =
+  let acc = ref PolySet.empty in
+  explore_kernels p (fun cokernel kernel ->
+      acc := PolySet.add (cokernel, kernel) !acc);
+  PolySet.elements !acc
+
+(* the first of highest score in [kernels] order, which is increasing
+   [compare_pair]: among equal scores the smallest pair wins *)
+let best_kernel ~score p =
+  let best = ref None in
+  explore_kernels p (fun cokernel kernel ->
+      if not (Monomial.is_one cokernel) then begin
+        let s = score cokernel kernel in
+        match !best with
+        | Some (s', ck, k)
+          when s < s'
+               || (s = s' && compare_pair (cokernel, kernel) (ck, k) >= 0) ->
+          ()
+        | Some _ | None -> best := Some (s, cokernel, kernel)
+      end);
+  Option.map (fun (_, ck, k) -> (ck, k)) !best
 
 let kernels p =
   if not (Atomic.get memo_flag) then kernels_raw p

@@ -47,3 +47,14 @@ val kernels : Poly.t -> (Monomial.t * Poly.t) list
 (** All (co-kernel, kernel) pairs of the polynomial, including the trivial
     pair [(largest_cube p, cube_free_part p)] when the cube-free part has at
     least two terms.  Pairs are distinct and deterministically ordered. *)
+
+val best_kernel :
+  score:(Monomial.t -> Poly.t -> int) -> Poly.t -> (Monomial.t * Poly.t) option
+(** The pair of [kernels p] with a non-unit co-kernel and the highest
+    [score cokernel kernel], the first such in [kernels] order (ties go to
+    the smallest co-kernel, then the smallest kernel); [None] when every
+    co-kernel is [1].  Equal to the head of [kernels p] filtered to
+    non-unit co-kernels and stably sorted by decreasing score, but
+    computed in one pass of the same recursion without collecting the
+    pairs, and not through the memo table (so it leaves the counters of
+    {!cache_stats} alone). *)

@@ -296,6 +296,31 @@ let prop_extract_never_worse =
       let result = X.run system in
       Dag.total_ops (Prog.counts result.X.prog) <= direct)
 
+let arb_poly =
+  let open QCheck.Gen in
+  let gen_mono =
+    list_size (int_range 0 4) (pair (oneofl [ "w"; "x"; "y"; "z" ]) (int_range 1 2))
+    >|= Mono.of_list
+  in
+  QCheck.make ~print:P.to_string
+    (list_size (int_range 1 8) (pair (int_range (-9) 9) gen_mono)
+    >|= fun ts -> P.of_terms (List.map (fun (c, m) -> (Z.of_int c, m)) ts))
+
+let prop_best_kernel =
+  prop "best_kernel = head of kernels by decreasing score" ~count:300 arb_poly
+    (fun q ->
+      let score ck k = P.num_terms k * Mono.degree ck in
+      let sorted =
+        K.kernels q
+        |> List.filter (fun (ck, _) -> not (Mono.is_one ck))
+        |> List.stable_sort (fun (ck1, k1) (ck2, k2) ->
+               compare (score ck2 k2) (score ck1 k1))
+      in
+      match K.best_kernel ~score q, sorted with
+      | None, [] -> true
+      | Some (ck, k), (ck', k') :: _ -> Mono.equal ck ck' && P.equal k k'
+      | _ -> false)
+
 let () =
   Alcotest.run "cse"
     [
@@ -338,5 +363,6 @@ let () =
           prop_extract_eval;
           prop_kcm_strategy_correct;
           prop_extract_never_worse;
+          prop_best_kernel;
         ] );
     ]

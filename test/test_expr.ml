@@ -5,6 +5,7 @@ module Mono = Polysynth_poly.Monomial
 module E = Polysynth_expr.Expr
 module Dag = Polysynth_expr.Dag
 module Prog = Polysynth_expr.Prog
+module Shape = Polysynth_expr.Shape
 
 let p = Parse.poly_exn
 let poly = Alcotest.testable P.pp P.equal
@@ -308,6 +309,42 @@ let prop_compare_total_order =
       let c1 = E.compare a b and c2 = E.compare b a in
       (c1 = 0) = (c2 = 0) && (c1 > 0) = (c2 < 0))
 
+(* cost shapes ---------------------------------------------------------------- *)
+
+let test_shape_undetermined () =
+  let s e = Shape.of_expr (E.of_poly (p e)) in
+  Alcotest.(check bool) "(x+1)*(x+1): two costly factors" true
+    (Shape.mul [ s "x + 1"; s "x + 1" ] = None);
+  Alcotest.(check bool) "(x+3) + (-3): a flattened lone addend" true
+    (Shape.add [ s "x + 3"; s "-3" ] = None);
+  Alcotest.(check bool) "(x+3) + (-3) + y is determined" true
+    (Shape.add [ s "x + 3"; s "-3"; s "y" ] <> None)
+
+let prop_shape_direct =
+  prop "Shape.direct p = of_expr (of_poly p)" ~count:1000 arb_expr (fun e ->
+      let q = E.to_poly e in
+      Shape.equal (Shape.direct q) (Shape.of_expr (E.of_poly q))
+      && Shape.cost (Shape.direct q) = Dag.total_ops (Dag.tree_counts (E.of_poly q)))
+
+let arb_operands =
+  QCheck.make
+    QCheck.Gen.(list_size (int_range 0 4) gen_expr)
+    ~print:(fun es -> String.concat " ; " (List.map E.to_string es))
+
+let prop_shape_add_mul =
+  prop "Shape.add/mul agree with Expr.add/mul when determined" ~count:1000
+    arb_operands (fun es ->
+      let shapes = List.map Shape.of_expr es in
+      let agrees op shape_op =
+        match shape_op shapes with
+        | None -> true
+        | Some s ->
+          let e = op es in
+          Shape.equal s (Shape.of_expr e)
+          && Shape.cost s = Dag.total_ops (Dag.tree_counts e)
+      in
+      agrees E.add Shape.add && agrees E.mul Shape.mul)
+
 let () =
   Alcotest.run "expr"
     [
@@ -335,6 +372,8 @@ let () =
           Alcotest.test_case "power prefix sharing" `Quick
             test_power_prefix_sharing;
           Alcotest.test_case "dag eval" `Quick test_dag_eval;
+          Alcotest.test_case "shape undetermined cases" `Quick
+            test_shape_undetermined;
         ] );
       ( "program",
         [
@@ -356,5 +395,7 @@ let () =
           prop_size_positive;
           prop_tree_counts_nonnegative;
           prop_compare_total_order;
+          prop_shape_direct;
+          prop_shape_add_mul;
         ] );
     ]

@@ -516,6 +516,17 @@ let test_hash_spreads_buckets () =
     Alcotest.failf "%d of %d buckets empty, longest chain %d" empty
       stats.Hashtbl.num_buckets stats.Hashtbl.max_bucket_length
 
+let prop_power_extreme_monomials =
+  prop "lm and trailing monomial of r^k are those of r, to the k"
+    QCheck.(pair arb_poly (int_range 2 3))
+    (fun (r, k) ->
+      QCheck.assume (not (P.is_const r));
+      let last q = snd (List.nth (P.terms q) (P.num_terms q - 1)) in
+      let pow m = List.fold_left Mono.mul Mono.one (List.init k (fun _ -> m)) in
+      let rk = P.pow r k in
+      Mono.equal (snd (P.leading rk)) (pow (snd (P.leading r)))
+      && Mono.equal (last rk) (pow (last r)))
+
 let () =
   Alcotest.run "poly"
     [
@@ -579,5 +590,6 @@ let () =
           prop_coeffs_in_any_var;
           prop_subst_eval_commute;
           prop_div_rem_no_reducible_term;
+          prop_power_extreme_monomials;
         ] );
     ]
