@@ -26,11 +26,18 @@
 #                run represent-dump and compare the md5 of its output with
 #                test/data/represent_dump.md5; a change that moves a
 #                decomposition on purpose updates that file and says why
+#   make integrated-dump
+#                print the programs of Integrated.variants and
+#                Baselines.factor_cse over the same corpus to
+#                _build/integrated_dump.txt
+#   make integrated-check
+#                run integrated-dump and compare the md5 of its output with
+#                test/data/integrated_dump.md5, the same way
 
 .PHONY: ci build test fmt lint fuzz bench bench-json represent-dump \
-  represent-check
+  represent-check integrated-dump integrated-check
 
-ci: build test fmt lint fuzz bench bench-json represent-check
+ci: build test fmt lint fuzz bench bench-json represent-check integrated-check
 
 lint:
 	dune exec bin/polysynth.exe -- --benchmark all --check --lint --simplify
@@ -75,4 +82,17 @@ represent-check: represent-dump
 	  echo "represent-check: ok ($$actual)"; \
 	else \
 	  echo "represent-check: md5 $$actual, expected $$expected"; exit 1; \
+	fi
+
+integrated-dump:
+	mkdir -p _build
+	dune exec bench/integrated_dump.exe > _build/integrated_dump.txt
+
+integrated-check: integrated-dump
+	@expected=$$(cat test/data/integrated_dump.md5); \
+	actual=$$(md5sum < _build/integrated_dump.txt | cut -d' ' -f1); \
+	if [ "$$actual" = "$$expected" ]; then \
+	  echo "integrated-check: ok ($$actual)"; \
+	else \
+	  echo "integrated-check: md5 $$actual, expected $$expected"; exit 1; \
 	fi

@@ -121,7 +121,11 @@ let exponent_gcd m = Monomial.fold (fun g _ e -> igcd g e) 0 m
    candidate), and the leading coefficient must be 1 or a perfect k-th
    power for some k in {2, 3, 5, 7} (which misses powers whose exponent
    has only prime factors of 11 or more, with a non-unit leading
-   coefficient). *)
+   coefficient).  Last, and exact: a root found for k gives
+   p(a) = root(a)^k at every point a, so for some k >= 2 dividing the
+   exponent gcd above, p must evaluate to a k-th power at the fixed points
+   of [Squarefree.power_at_points].  Most candidates fail there, before
+   any square-free factorization. *)
 let could_be_perfect_power p =
   (not (Poly.is_const p))
   && Poly.degree p >= 2
@@ -132,13 +136,16 @@ let could_be_perfect_power p =
   g >= 2
   &&
   let _, tm = List.nth (Poly.terms p) (Poly.num_terms p - 1) in
-  igcd g (exponent_gcd tm) >= 2
-  &&
-  let lc = Z.abs lc in
-  Z.is_one lc
-  || List.exists
-       (fun k -> Squarefree.integer_root lc k <> None)
-       [ 2; 3; 5; 7 ]
+  let g = igcd g (exponent_gcd tm) in
+  g >= 2
+  && (let lc = Z.abs lc in
+      Z.is_one lc
+      || List.exists
+           (fun k -> Squarefree.integer_root lc k <> None)
+           [ 2; 3; 5; 7 ])
+  && List.exists
+       (fun k -> g mod k = 0 && Squarefree.power_at_points k p)
+       (List.init (g - 1) (fun i -> i + 2))
 
 (* A constant (or zero) is its own direct form whatever the memo holds, so
    it skips the memo.  Otherwise the memo is filled with the direct form

@@ -101,6 +101,7 @@ module Trace = struct
     cache_hits : int;
     cache_misses : int;
     cache_tables : (string * int * int) list;
+    extraction : Extract.stats;
     budget_exhausted : bool;
     certificates : (string * string) list;
     wall : float;
@@ -131,6 +132,13 @@ module Trace = struct
              m
              (if m = 1 then "" else "es")))
       t.cache_tables;
+    let e = t.extraction in
+    Buffer.add_string b
+      (Printf.sprintf
+         "  extraction: %d rounds, %d candidates, %d trials, %d bodies \
+          skipped by pre-tests, %d rewritten\n"
+         e.Extract.rounds e.Extract.candidates e.Extract.trials e.Extract.skipped
+         e.Extract.rewritten);
     if t.budget_exhausted then
       Buffer.add_string b "  budget exhausted: the search stopped early\n";
     List.iter
@@ -171,11 +179,13 @@ module Trace = struct
       Printf.sprintf {|{"name":%s,"hits":%d,"misses":%d}|} (json_string name) h
         m
     in
+    let e = t.extraction in
     Printf.sprintf
-      {|{"parallelism":%d,"wall_ms":%.3f,"cache":{"hits":%d,"misses":%d,"tables":[%s]},"budget_exhausted":%b,"certificates":[%s],"stages":[%s]}|}
+      {|{"parallelism":%d,"wall_ms":%.3f,"cache":{"hits":%d,"misses":%d,"tables":[%s]},"extraction":{"rounds":%d,"candidates":%d,"trials":%d,"skipped":%d,"rewritten":%d},"budget_exhausted":%b,"certificates":[%s],"stages":[%s]}|}
       t.parallelism (1000. *. t.wall) t.cache_hits t.cache_misses
       (String.concat "," (List.map table t.cache_tables))
-      t.budget_exhausted
+      e.Extract.rounds e.Extract.candidates e.Extract.trials e.Extract.skipped
+      e.Extract.rewritten t.budget_exhausted
       (String.concat "," (List.map certificate t.certificates))
       (String.concat "," (List.map stage t.stages))
 end
@@ -255,8 +265,9 @@ end
 (* The engine manages three memo layers: its own representation/variant
    store above, the kernelling memo inside Polysynth_cse.Kernel that
    serves the extraction loops, and Extract's domain-local flat-cost
-   memo.  They are cleared together here (the single lifecycle point) and
-   the trace reports both the merged totals and the per-table split. *)
+   memo.  They are cleared together here (the single lifecycle point),
+   with Extract's loop counters, and the trace reports both the merged
+   totals and the per-table split. *)
 let cache_table_stats () =
   [
     ("representation", Memo.stats ());
@@ -267,7 +278,8 @@ let cache_table_stats () =
 let clear_cache () =
   Memo.clear ();
   Kernel.clear_cache ();
-  Extract.clear_cost_memo ()
+  Extract.clear_cost_memo ();
+  Extract.clear_stats ()
 
 let cache_stats () =
   List.fold_left
@@ -586,6 +598,7 @@ let with_trace (config : Config.t) f =
   let cost_memo_was = Extract.cost_memo_enabled () in
   Extract.set_cost_memo_enabled config.Config.cache;
   let tables0 = cache_table_stats () in
+  let extraction0 = Extract.stats () in
   let stages = ref [] in
   let certs = ref [] in
   let budget_ok, budget_tripped = make_budget config in
@@ -605,6 +618,16 @@ let with_trace (config : Config.t) f =
     List.fold_left (fun (h, m) (_, th, tm) -> (h + th, m + tm)) (0, 0)
       cache_tables
   in
+  let extraction =
+    let e0 = extraction0 and e1 = Extract.stats () in
+    {
+      Extract.rounds = e1.Extract.rounds - e0.Extract.rounds;
+      candidates = e1.candidates - e0.candidates;
+      trials = e1.trials - e0.trials;
+      skipped = e1.skipped - e0.skipped;
+      rewritten = e1.rewritten - e0.rewritten;
+    }
+  in
   ( result,
     {
       Trace.parallelism = Config.domains config;
@@ -612,6 +635,7 @@ let with_trace (config : Config.t) f =
       cache_hits;
       cache_misses;
       cache_tables;
+      extraction;
       budget_exhausted = budget_tripped ();
       certificates = List.rev !certs;
       wall = now () -. t0;

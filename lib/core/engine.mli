@@ -126,6 +126,10 @@ module Trace : sig
             ["representation"] (the engine store), ["kernel"]
             (kernelling memo), ["flat-cost"] (Extract's domain-local
             body-cost memo) *)
+    extraction : Polysynth_cse.Extract.stats;
+        (** what the extraction loops of this run did (rounds, candidates,
+            trials, bodies skipped by the rewrite pre-tests, bodies
+            rewritten); zero when every variant came from the store *)
     budget_exhausted : bool;
         (** a budget stopped some stage before it finished *)
     certificates : (string * string) list;
@@ -141,7 +145,9 @@ module Trace : sig
 
   val to_json : t -> string
   (** One JSON object: [{"parallelism":..,"wall_ms":..,"cache":
-      {"hits":..,"misses":..},"budget_exhausted":..,"stages":[..]}]. *)
+      {"hits":..,"misses":..,"tables":[..]},"extraction":{"rounds":..,
+      "candidates":..,"trials":..,"skipped":..,"rewritten":..},
+      "budget_exhausted":..,"certificates":[..],"stages":[..]}]. *)
 
   val json_string : string -> string
   (** An escaped JSON string literal — for composing larger objects
@@ -174,7 +180,8 @@ val clear_cache : unit -> unit
 (** Empty every engine-owned memo in one place — the
     representation/variant store, the kernelling memo of
     [Polysynth_cse.Kernel], and the domain-local flat-cost memo of
-    [Polysynth_cse.Extract] — and reset their hit/miss counters. *)
+    [Polysynth_cse.Extract] — and reset their hit/miss counters and
+    [Extract]'s loop counters. *)
 
 val cache_stats : unit -> int * int
 (** Cumulative [(hits, misses)] since start or {!clear_cache}, merged

@@ -72,3 +72,20 @@ val cost_memo_enabled : unit -> bool
 val set_cost_memo_enabled : bool -> unit
 (** Bypass the memo entirely (no lookups, no fills, no counter traffic) —
     how the engine honours [Config.cache = false]. *)
+
+(** What the greedy loop did, summed over every {!run} since start or
+    {!clear_stats}: the mechanism of the indexed loop as counts. *)
+type stats = {
+  rounds : int;  (** greedy rounds that generated candidates *)
+  candidates : int;  (** candidate moves generated and estimated *)
+  trials : int;  (** shortlisted candidates applied as trials *)
+  skipped : int;
+      (** bodies a trial left alone because the rewrite pre-test showed
+          no term could match (no kernelling, no rebuild) *)
+  rewritten : int;  (** bodies a trial changed *)
+}
+
+val stats : unit -> stats
+
+val clear_stats : unit -> unit
+(** Zero the counters; part of [Engine.clear_cache]. *)

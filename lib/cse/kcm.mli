@@ -23,6 +23,12 @@ type rectangle = {
 }
 
 val build : Poly.t list -> t
+(** The matrix of every kernel instance of the polynomials, in order. *)
+
+val of_kernels : (Monomial.t * Poly.t) list -> t
+(** The matrix of the given (co-kernel, kernel) rows, in order: [build ps]
+    is [of_kernels (List.concat_map Kernel.kernels ps)].  The extraction
+    loop passes the instances it has already computed for the round. *)
 
 val num_rows : t -> int
 val num_cols : t -> int
@@ -37,6 +43,6 @@ val prime_rectangles : ?max_rectangles:int -> t -> rectangle list
     the (rows of all columns / columns of all rows) Galois connection, so
     every reported rectangle is prime. *)
 
-val candidates : ?max_rectangles:int -> Poly.t list -> Poly.t list
-(** The rectangle bodies, best first — drop-in candidate blocks for the
-    extraction loop. *)
+val bodies : ?max_rectangles:int -> t -> Poly.t list
+(** The distinct bodies of {!prime_rectangles}, best first — drop-in
+    candidate blocks for the extraction loop. *)

@@ -3,10 +3,11 @@ module Monomial = Polysynth_poly.Monomial
 
 (* ---- memo table --------------------------------------------------------- *)
 
-(* The extraction loop (Extract.run) re-kernels every work-item body each
-   round, and [rewrite_with_block] re-kernels the body after every rewrite
-   — but most bodies are unchanged between calls.  Kernelling is the hot
-   stage, so [kernels] and [largest_cube] are memoized here, keyed by the
+(* The extraction loop (Extract.run) kernels every work-item body once per
+   round, and a trial kernels the bodies its block may rewrite (those with
+   a term matching the block's leading term; the others it skips without
+   kernelling) — but most bodies are unchanged between rounds and trials.
+   So [kernels] and [largest_cube] are memoized here, keyed by the
    polynomial itself through its (monomial-hash based) [Poly.hash].  The
    table is a bounded FIFO shared across domains; the computation itself
    runs outside the lock, so a race costs at most duplicated work.

@@ -106,6 +106,20 @@ let integer_root n k =
     else Option.map Z.neg (integer_root_abs (Z.abs n) k)
   else integer_root_abs n k
 
+(* p at the point where every variable is [a]: each term contributes
+   c * a^(total degree of its monomial) *)
+let eval_diagonal p a =
+  let a = Z.of_int a in
+  List.fold_left
+    (fun acc (c, m) ->
+      Z.add acc (Z.mul c (Z.pow a (Polysynth_poly.Monomial.degree m))))
+    Z.zero (Poly.terms p)
+
+let power_at_points k p =
+  List.for_all
+    (fun a -> Option.is_some (integer_root (eval_diagonal p a) k))
+    [ 1; 2; -1; 3 ]
+
 let perfect_power_root u =
   if Poly.is_zero u || Poly.is_const u then None
   else begin

@@ -38,3 +38,10 @@ val perfect_power_root : Poly.t -> (Poly.t * int) option
 val integer_root : Z.t -> int -> Z.t option
 (** [integer_root n k] is the exact [k]-th root of [n] when it exists
     ([k >= 1]; negative [n] allowed for odd [k]). *)
+
+val power_at_points : int -> Poly.t -> bool
+(** [power_at_points k p] ([k >= 2]): at each of the points where every
+    variable is 1, 2, -1 and 3, [p] evaluates to the exact [k]-th power of
+    an integer.  A necessary condition for [p = r^k] with [r] over the
+    integers, since then [p(a) = r(a)^k] at every point; cheap to test in
+    front of {!perfect_power_root}. *)

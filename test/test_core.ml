@@ -559,6 +559,40 @@ let test_represent_random_mix_pinned () =
   check_pinned "data/represent_random_mix_pinned.expected"
     (String.concat "" (List.map render_represent systems))
 
+(* Integrated.variants and Baselines.factor_cse output pinned byte for byte
+   over a fast subset of the bench/integrated_dump.exe corpus (same
+   format): every extraction program, blocks then outputs.  The expected
+   file was rendered before the greedy extraction loop was indexed, which
+   is a pure speed-up, so any difference here is a changed program. *)
+let render_integrated (name, polys) =
+  let progs =
+    Integrated.variants polys @ [ ("factor+cse", Baselines.factor_cse polys) ]
+  in
+  Printf.sprintf "== %s\n%s" name
+    (String.concat ""
+       (List.map
+          (fun (label, prog) ->
+            Format.asprintf "-- %s@.%a@." label Prog.pp prog)
+          progs))
+
+let test_integrated_pinned () =
+  let module B = Polysynth_workloads.Benchmarks in
+  let bench name =
+    match B.by_name name with
+    | Some b -> (b.B.name, b.B.polys)
+    | None -> Alcotest.failf "unknown benchmark %s" name
+  in
+  let systems =
+    [ ("T14.1", Ex.table_14_1); ("T14.2", Ex.table_14_2) ]
+    @ List.map bench [ "SG 3x2"; "SG 4x2"; "Quad"; "Mibench"; "MVCS" ]
+    @ List.map
+        (fun (b : B.t) -> (b.B.name, b.B.polys))
+        (Polysynth_workloads.Extended.extended_suite ())
+    @ List.filteri (fun i _ -> i mod 4 = 0) (Rand.grid ~seed:2009)
+  in
+  check_pinned "data/integrated_pinned.expected"
+    (String.concat "" (List.map render_integrated systems))
+
 let () =
   Alcotest.run "core"
     [
@@ -613,6 +647,8 @@ let () =
         [
           Alcotest.test_case "variants exact" `Quick test_integrated_variants_exact;
           Alcotest.test_case "never terrible" `Quick test_integrated_never_terrible;
+          Alcotest.test_case "integrated output pinned" `Quick
+            test_integrated_pinned;
         ] );
       ( "pipeline",
         [

@@ -184,7 +184,7 @@ let test_kcm_finds_shared_kernel () =
   (* (x + z) occurs as a kernel of both polynomials: the prime rectangle
      formulation must find it *)
   let system = [ p "x^2*y + x*y*z"; p "a*b*x + a*b*z" ] in
-  let cands = Kcm.candidates system in
+  let cands = Kcm.bodies (Kcm.build system) in
   Alcotest.(check bool) "found x + z" true
     (List.exists (P.equal (p "x + z")) cands)
 
@@ -321,6 +321,58 @@ let prop_best_kernel =
       | Some (ck, k), (ck', k') :: _ -> Mono.equal ck ck' && P.equal k k'
       | _ -> false)
 
+(* Extraction results must not depend on memo state: the same program with
+   the kernel and flat-cost memos cleared, warm (filled by every mode and
+   strategy on the same system) and switched off. *)
+let prop_extract_memo_independent =
+  let gen =
+    let open QCheck.Gen in
+    let gen_mono =
+      list_size (int_range 0 4)
+        (pair (oneofl [ "w"; "x"; "y"; "z" ]) (int_range 1 2))
+      >|= Mono.of_list
+    in
+    let gen_poly =
+      list_size (int_range 1 6) (pair (int_range (-4) 4) gen_mono)
+      >|= fun ts -> P.of_terms (List.map (fun (c, m) -> (Z.of_int c, m)) ts)
+    in
+    list_size (int_range 2 6) gen_poly
+  in
+  prop "extraction independent of memo state" ~count:60
+    (QCheck.make gen
+       ~print:(fun polys -> String.concat "; " (List.map P.to_string polys)))
+    (fun system ->
+      let render (mode, strategy) =
+        Format.asprintf "%a" Prog.pp (X.run ~mode ~strategy system).X.prog
+      in
+      let combos =
+        [
+          (X.Coeff_literals, X.Greedy);
+          (X.Coeff_literals, X.Kcm_rectangles);
+          (X.Vars_only, X.Greedy);
+          (X.Vars_only, X.Kcm_rectangles);
+        ]
+      in
+      let cold =
+        List.map
+          (fun c ->
+            K.clear_cache ();
+            X.clear_cost_memo ();
+            render c)
+          combos
+      in
+      let warm = List.map render combos in
+      let off =
+        K.set_memo_enabled false;
+        X.set_cost_memo_enabled false;
+        Fun.protect
+          ~finally:(fun () ->
+            K.set_memo_enabled true;
+            X.set_cost_memo_enabled true)
+          (fun () -> List.map render combos)
+      in
+      cold = warm && cold = off)
+
 let () =
   Alcotest.run "cse"
     [
@@ -364,5 +416,6 @@ let () =
           prop_kcm_strategy_correct;
           prop_extract_never_worse;
           prop_best_kernel;
+          prop_extract_memo_independent;
         ] );
     ]

@@ -588,6 +588,28 @@ let prop_perfect_power_expands =
       | Some (v, k) -> P.equal sq (P.pow v k)
       | None -> false)
 
+let test_power_at_points () =
+  Alcotest.(check bool) "square" true (S.power_at_points 2 (p "x^2 + 2*x*y + y^2"));
+  (* 2, 5, 2, 10 at the four points *)
+  Alcotest.(check bool) "x^2 + 1" false (S.power_at_points 2 (p "x^2 + 1"));
+  (* -1 at the first point *)
+  Alcotest.(check bool) "negative value" false (S.power_at_points 2 (p "x^2 - 2*x"));
+  (* a necessary condition only: every variable takes the same value, so
+     x - y vanishes at each point *)
+  Alcotest.(check bool) "not a power, passes" true
+    (S.power_at_points 2 (p "x^2*y^2 + x - y"));
+  Alcotest.(check bool) "cube of a negative" true
+    (S.power_at_points 3 (p "-x^3 + 3*x^2 - 3*x + 1"))
+
+(* the exact pre-filter in front of perfect_power_root never rejects a
+   real power *)
+let prop_power_at_points =
+  prop "r^k passes power_at_points"
+    (QCheck.pair arb_poly (QCheck.oneofl [ 2; 3 ]))
+    (fun (r, k) ->
+      QCheck.assume (not (P.is_const r));
+      S.power_at_points k (P.pow r k))
+
 let () =
   Alcotest.run "factor"
     [
@@ -610,6 +632,7 @@ let () =
           Alcotest.test_case "is_squarefree" `Quick test_squarefree_detects;
           Alcotest.test_case "perfect powers" `Quick test_perfect_power;
           Alcotest.test_case "integer roots" `Quick test_integer_root;
+          Alcotest.test_case "power_at_points" `Quick test_power_at_points;
         ] );
       ( "linear_factors",
         [
@@ -665,5 +688,6 @@ let () =
           prop_squarefree_factors_are_squarefree;
           prop_square_detected;
           prop_perfect_power_expands;
+          prop_power_at_points;
         ] );
     ]
