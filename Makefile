@@ -33,11 +33,19 @@
 #   make integrated-check
 #                run integrated-dump and compare the md5 of its output with
 #                test/data/integrated_dump.md5, the same way
+#   make search-dump
+#                print Search.select's winners (labels, costs, program) under
+#                every objective over the same corpus, ring on and off, to
+#                _build/search_dump.txt
+#   make search-check
+#                run search-dump and compare the md5 of its output with
+#                test/data/search_dump.md5, the same way
 
 .PHONY: ci build test fmt lint fuzz bench bench-json represent-dump \
-  represent-check integrated-dump integrated-check
+  represent-check integrated-dump integrated-check search-dump search-check
 
-ci: build test fmt lint fuzz bench bench-json represent-check integrated-check
+ci: build test fmt lint fuzz bench bench-json represent-check integrated-check \
+  search-check
 
 lint:
 	dune exec bin/polysynth.exe -- --benchmark all --check --lint --simplify
@@ -95,4 +103,17 @@ integrated-check: integrated-dump
 	  echo "integrated-check: ok ($$actual)"; \
 	else \
 	  echo "integrated-check: md5 $$actual, expected $$expected"; exit 1; \
+	fi
+
+search-dump:
+	mkdir -p _build
+	dune exec bench/search_dump.exe > _build/search_dump.txt
+
+search-check: search-dump
+	@expected=$$(cat test/data/search_dump.md5); \
+	actual=$$(md5sum < _build/search_dump.txt | cut -d' ' -f1); \
+	if [ "$$actual" = "$$expected" ]; then \
+	  echo "search-check: ok ($$actual)"; \
+	else \
+	  echo "search-check: md5 $$actual, expected $$expected"; exit 1; \
 	fi
