@@ -7,13 +7,14 @@ module Kernel = Polysynth_cse.Kernel
 module Squarefree = Polysynth_factor.Squarefree
 
 (* A memo key carries its polynomial's hash, computed once per visit:
-   lookups, inserts and table resizes then never rehash it. *)
+   lookups, inserts and table resizes then never rehash it, and a bucket
+   collision is told apart by the hashes before any term is compared. *)
 type key = { p : Poly.t; h : int }
 
 module Memo = Hashtbl.Make (struct
   type t = key
 
-  let equal a b = Poly.equal a.p b.p
+  let equal a b = a.h = b.h && Poly.equal a.p b.p
   let hash k = k.h
 end)
 

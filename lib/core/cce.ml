@@ -45,15 +45,19 @@ let extract p =
         List.partition (fun (c, _) -> Z.divides g c) remaining
       in
       if List.length covered >= 2 then begin
+        (* [covered] is an ordered sub-list of [p]'s terms and every
+           quotient is a nonzero exact one, so the order is kept *)
         let block =
-          Poly.of_terms (List.map (fun (c, m) -> (Z.divexact c g, m)) covered)
+          Poly.of_sorted_terms
+            (List.map (fun (c, m) -> (Z.divexact c g, m)) covered)
         in
         extract_loop uncovered ((g, block) :: groups) rest
       end
       else extract_loop remaining groups rest
   in
   let groups, left = extract_loop mult_terms [] gcds in
-  { groups; residual = Poly.add (Poly.of_terms left) (Poly.of_terms const_terms) }
+  (* the constant term, if any, is [p]'s last *)
+  { groups; residual = Poly.of_sorted_terms (left @ const_terms) }
 
 let recompose { groups; residual } =
   List.fold_left

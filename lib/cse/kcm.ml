@@ -98,16 +98,27 @@ let value_of t rows cols =
   let ops = Shape.cost (Shape.direct body) in
   (List.length rows - 1) * ops
 
+(* Rectangle keys (rows, columns) hashed on their ints alone. *)
+module Key = Hashtbl.Make (struct
+  type t = int list * int list
+
+  let equal (r, c) (r', c') = List.equal Int.equal r r' && List.equal Int.equal c c'
+
+  let hash (r, c) =
+    let mix acc i = (acc * 31) + i in
+    List.fold_left mix (List.fold_left mix 17 r) c land max_int
+end)
+
 let prime_rectangles ?(max_rectangles = 64) t =
-  let seen = Hashtbl.create 64 in
+  let seen = Key.create 64 in
   let out = ref [] in
   let consider cols =
     if IntSet.cardinal cols >= 2 then begin
       let rows, cols = rectangle_of_cols t cols in
       if List.length rows >= 2 && IntSet.cardinal cols >= 2 then begin
         let key = (rows, IntSet.elements cols) in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.add seen key ();
+        if not (Key.mem seen key) then begin
+          Key.add seen key ();
           let body = body_of_cols t cols in
           out := { rows; body; value = value_of t rows cols } :: !out
         end
@@ -118,10 +129,26 @@ let prime_rectangles ?(max_rectangles = 64) t =
   for i = 0 to n - 1 do
     consider t.row_cols.(i)
   done;
+  (* only the pairs i < j sharing at least two columns can seed a
+     rectangle: count the shared columns through [col_rows], then visit
+     those j in increasing order, as a scan of every pair would *)
+  let shared = Array.make n 0 in
   for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      consider (IntSet.inter t.row_cols.(i) t.row_cols.(j))
-    done
+    let touched = ref [] in
+    IntSet.iter
+      (fun c ->
+        Seq.iter
+          (fun j ->
+            if shared.(j) = 0 then touched := j :: !touched;
+            shared.(j) <- shared.(j) + 1)
+          (IntSet.to_seq_from (i + 1) t.col_rows.(c)))
+      t.row_cols.(i);
+    List.iter
+      (fun j ->
+        if shared.(j) >= 2 then
+          consider (IntSet.inter t.row_cols.(i) t.row_cols.(j));
+        shared.(j) <- 0)
+      (List.sort Int.compare !touched)
   done;
   let ranked =
     List.stable_sort (fun a b -> Stdlib.compare b.value a.value) !out
