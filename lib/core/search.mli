@@ -54,4 +54,18 @@ val prog_of_choice : Represent.t -> Represent.rep list -> Prog.t
 (** Assemble a program from one representation per polynomial, including
     exactly the block bindings the expressions use. *)
 
+val score_full : options -> Prog.t -> float array * Cost.report * Dag.counts
+(** The key of {!score}, with the cost report and operator counts it was
+    read from. *)
+
+val choice_scorer :
+  options -> Represent.t -> int array -> float array * Cost.report * Dag.counts
+(** [choice_scorer options r] lowers every block binding and every
+    representation of [r] into one hash-consed DAG.  The function it
+    returns scores a choice (the index of one representation per
+    polynomial) on the part of that DAG the choice reaches: the same key,
+    report and counts as [score_full] of the choice's [prog_of_choice],
+    without building that program.  Under [Min_power] it still builds the
+    program and its netlist for the power term. *)
+
 val select : options -> Represent.t -> selection

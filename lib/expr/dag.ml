@@ -45,6 +45,11 @@ let node dag i =
   if i < 0 || i >= dag.len then invalid_arg "Dag.node: id out of range";
   dag.nodes.(i)
 
+let iteri f dag =
+  for i = 0 to dag.len - 1 do
+    f i dag.nodes.(i)
+  done
+
 let intern dag n =
   match Memo.find_opt dag.memo n with
   | Some id -> id

@@ -37,6 +37,9 @@ val node : t -> id -> node
 
 val num_nodes : t -> int
 
+val iteri : (id -> node -> unit) -> t -> unit
+(** Every node with its id, in increasing id order (operands first). *)
+
 val live : t -> roots:id list -> id list
 (** Ids reachable from the roots, in increasing (topological) order. *)
 

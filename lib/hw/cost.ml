@@ -117,6 +117,152 @@ let of_netlist ?(model = default) (n : Netlist.t) =
 let of_prog ?model ~width prog =
   of_netlist ?model (Netlist.of_prog ~width prog)
 
+(* Scoring many root sets of one DAG: the cell each node lowers to under
+   [Netlist.of_dag] depends on the node alone, so its fanins, area, delay
+   and kind are tabulated once.  What depends on the roots (the cells
+   reached, fanout, arrival) lives in arrays reused from one call to the
+   next: a node is reached in the current call when its [mark] equals
+   [gen]. *)
+module Dag = Polysynth_expr.Dag
+
+type kind = Free | Adder | Multiplier | Const_multiplier | Const_product
+
+type scorer = {
+  dag : Dag.t;
+  fanin_a : int array;  (* cell fanins, -1 when absent *)
+  fanin_b : int array;
+  cell_kind : kind array;
+  cell_area : int array;
+  cell_delay : float array;
+  fanout_delay : float;
+  mark : int array;
+  fanout : int array;
+  arrival : float array;
+  order : int array;  (* the cells of the current call, fanins first *)
+  mutable cells : int;
+  mutable gen : int;
+}
+
+let scorer ?(model = default) ~width dag =
+  let m = width in
+  let size = Dag.num_nodes dag in
+  let fanin_a = Array.make size (-1) and fanin_b = Array.make size (-1) in
+  let kind = Array.make size Free in
+  let area = Array.make size 0 and delay = Array.make size 0.0 in
+  let cell i ?(a = -1) ?(b = -1) k cell_area cell_delay =
+    fanin_a.(i) <- a;
+    fanin_b.(i) <- b;
+    kind.(i) <- k;
+    area.(i) <- cell_area;
+    delay.(i) <- cell_delay
+  in
+  let const_of j =
+    match Dag.node dag j with Dag.Nconst c -> Some c | _ -> None
+  in
+  Dag.iteri
+    (fun i node ->
+      let i = (i :> int) in
+      match node with
+      | Dag.Nconst _ | Dag.Nvar _ -> ()
+      | Dag.Nneg a ->
+        cell i ~a:(a :> int) Free (model.neg_area m) (model.neg_delay m)
+      | Dag.Nadd (a, b) | Dag.Nsub (a, b) ->
+        cell i ~a:(a :> int) ~b:(b :> int) Adder (model.add_area m)
+          (model.add_delay m)
+      | Dag.Nmul (a, b) -> (
+        (* as in [Netlist.of_dag]: one constant operand is embedded in a
+           Cmult cell, a product of two constants keeps both as fanins *)
+        let mult k =
+          cell i ~a:(a :> int) ~b:(b :> int) k (model.mult_area m)
+            (model.mult_delay m)
+        in
+        let cmult c (x : Dag.id) =
+          cell i ~a:(x :> int) Const_multiplier (model.cmult_area m c)
+            (model.cmult_delay m c)
+        in
+        match const_of a, const_of b with
+        | Some _, Some _ -> mult Const_product
+        | Some c, None -> cmult c b
+        | None, Some c -> cmult c a
+        | None, None -> mult Multiplier))
+    dag;
+  {
+    dag;
+    fanin_a;
+    fanin_b;
+    cell_kind = kind;
+    cell_area = area;
+    cell_delay = delay;
+    fanout_delay = model.fanout_delay;
+    mark = Array.make size 0;
+    fanout = Array.make size 0;
+    arrival = Array.make size 0.0;
+    order = Array.make size 0;
+    cells = 0;
+    gen = 0;
+  }
+
+(* depth-first through cell fanins, so [order] lists every cell after its
+   fanins, and a constant read only by one-constant products is never
+   reached, as in [Netlist.of_dag] *)
+let rec visit s i =
+  if s.mark.(i) <> s.gen then begin
+    s.mark.(i) <- s.gen;
+    s.fanout.(i) <- 0;
+    let a = s.fanin_a.(i) and b = s.fanin_b.(i) in
+    if a >= 0 then begin
+      visit s a;
+      s.fanout.(a) <- s.fanout.(a) + 1
+    end;
+    if b >= 0 then begin
+      visit s b;
+      s.fanout.(b) <- s.fanout.(b) + 1
+    end;
+    s.order.(s.cells) <- i;
+    s.cells <- s.cells + 1
+  end
+
+let score s roots =
+  if Dag.num_nodes s.dag <> Array.length s.mark then
+    invalid_arg "Cost.score: the DAG grew after its scorer was made";
+  s.gen <- s.gen + 1;
+  s.cells <- 0;
+  for k = 0 to Array.length roots - 1 do
+    visit s (roots.(k) : Dag.id :> int)
+  done;
+  (* an arrival depends only on the arrivals of the cell's fanins, so
+     this order, fanins first, gives the same floats as [of_netlist]'s
+     cell order *)
+  let area = ref 0 and delay = ref 0.0 in
+  let mults = ref 0 and cmults = ref 0 and adds = ref 0 and const_mults = ref 0 in
+  for k = 0 to s.cells - 1 do
+    let i = s.order.(k) in
+    let a = s.fanin_a.(i) and b = s.fanin_b.(i) in
+    let fanin = if a >= 0 then Float.max 0.0 s.arrival.(a) else 0.0 in
+    let fanin = if b >= 0 then Float.max fanin s.arrival.(b) else fanin in
+    let load =
+      s.fanout_delay *. float_of_int (Stdlib.max 0 (s.fanout.(i) - 1))
+    in
+    let t = fanin +. s.cell_delay.(i) +. load in
+    s.arrival.(i) <- t;
+    area := !area + s.cell_area.(i);
+    delay := Float.max !delay t;
+    match s.cell_kind.(i) with
+    | Free -> ()
+    | Adder -> incr adds
+    | Multiplier -> incr mults
+    | Const_multiplier -> incr cmults; incr const_mults
+    | Const_product -> incr mults; incr const_mults
+  done;
+  ( {
+      area = !area;
+      delay = !delay;
+      num_mults = !mults;
+      num_cmults = !cmults;
+      num_adds = !adds;
+    },
+    Dag.{ mults = !mults + !cmults; const_mults = !const_mults; adds = !adds } )
+
 let pp_report fmt r =
   Format.fprintf fmt
     "area=%d delay=%.1f (mult=%d cmult=%d add=%d)"

@@ -48,4 +48,23 @@ val of_netlist : ?model:model -> Netlist.t -> report
 
 val of_prog : ?model:model -> width:int -> Polysynth_expr.Prog.t -> report
 
+(** {1 Scoring many root sets of one DAG} *)
+
+type scorer
+(** Per-node cell data of one hash-consed DAG, and work arrays reused by
+    every {!score} call on it. *)
+
+val scorer : ?model:model -> width:int -> Polysynth_expr.Dag.t -> scorer
+(** Tabulate the DAG as it is now; it must not grow afterwards. *)
+
+val score :
+  scorer ->
+  Polysynth_expr.Dag.id array ->
+  report * Polysynth_expr.Dag.counts
+(** The cost of the part of the DAG reachable from the roots, and its
+    operator counts: bit for bit what [of_netlist] of
+    [Netlist.of_dag ~outputs] (one output per root) and [Dag.counts] give,
+    without building the netlist.  Allocates only the result.
+    @raise Invalid_argument if the DAG grew after [scorer]. *)
+
 val pp_report : Format.formatter -> report -> unit
